@@ -16,7 +16,6 @@ from .access import (
     DegreeMismatchError,
     KeySelector,
     RaggedMatrixError,
-    TermView,
     d1,
     d2,
     dc,
@@ -35,7 +34,6 @@ from .access import (
     t2,
     t3,
     tc,
-    term_view,
     triple,
 )
 from .core import (
@@ -50,7 +48,6 @@ from .core import (
     add,
     as_coeff,
     check_symbol,
-    equals,
     from_symbols,
     make_element,
     mul,
@@ -94,7 +91,6 @@ __all__ = [
     "RaggedMatrixError",
     "ScalarOperandError",
     "TermKey",
-    "TermView",
     "UnboundVariableError",
     "add",
     "as_coeff",
@@ -103,7 +99,6 @@ __all__ = [
     "d2",
     "dc",
     "double",
-    "equals",
     "extract",
     "extract_matrix",
     "from_symbols",
@@ -128,7 +123,6 @@ __all__ = [
     "t2",
     "t3",
     "tc",
-    "term_view",
     "triple",
     "zero",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import AaaElement, Coefficient, TermKey, _accumulate, as_coeff, zero
+from .core import AaaElement, TermKey, _build, as_coeff, zero
 
 __all__ = ["Leaf", "Node", "Tree", "degree", "normalize", "naive_mul"]
 
@@ -64,12 +64,7 @@ def normalize(k: object, tree: Tree, coeff: object = 1) -> AaaElement:
     key, power = _combed(tree)
     if key is None:
         return zero()
-    total = as_coeff(coeff) * as_coeff(k) ** power
-    if not total:
-        return zero()
-    maps: tuple[dict, dict, dict] = ({}, {}, {})
-    maps[len(key) - 1][key] = total
-    return AaaElement(*maps)
+    return _build([(key, as_coeff(coeff) * as_coeff(k) ** power)])
 
 
 def _term_tree(key: TermKey) -> Tree:
@@ -84,15 +79,7 @@ def _term_tree(key: TermKey) -> Tree:
 def naive_mul(k: object, a: AaaElement, b: AaaElement) -> AaaElement:
     """Product computed term pair by term pair through tree rewriting."""
     k = as_coeff(k)
-    maps: tuple[dict, dict, dict] = ({}, {}, {})
-    b_terms = [(key, coeff, _term_tree(key)) for key, coeff in b.terms()]
-    for key_a, ca in a.terms():
-        ta = _term_tree(key_a)
-        for _key_b, cb, tb in b_terms:
-            key, power = _combed(Node(ta, tb))
-            if key is None:
-                continue
-            coeff: Coefficient = ca * cb * k**power
-            if coeff:
-                _accumulate(maps[len(key) - 1], key, coeff)
-    return AaaElement(*maps)
+    a_trees = [(_term_tree(key), coeff) for key, coeff in a.terms()]
+    b_trees = [(_term_tree(key), coeff) for key, coeff in b.terms()]
+    combed = ((_combed(Node(ta, tb)), ca, cb) for ta, ca in a_trees for tb, cb in b_trees)
+    return _build((key, ca * cb * k**power) for (key, power), ca, cb in combed if key is not None)

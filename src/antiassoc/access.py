@@ -34,7 +34,6 @@ __all__ = [
     "DegreeMismatchError",
     "RaggedMatrixError",
     "KeySelector",
-    "TermView",
     "single",
     "double",
     "triple",
@@ -45,7 +44,6 @@ __all__ = [
     "replace",
     "extract_matrix",
     "replace_matrix",
-    "term_view",
     "s1",
     "sc",
     "d1",
@@ -126,7 +124,7 @@ def _set_degree(element: AaaElement, replacement: object, degree: int) -> AaaEle
                     f"replacement for {attr} contains terms of another degree"
                 )
         new_map = getattr(replacement, attr)
-    elif replacement == 0:
+    elif replacement == 0 and not isinstance(replacement, bool):
         new_map = {}
     else:
         raise TypeError("replacement must be an element or the literal 0")
@@ -209,62 +207,51 @@ def replace_matrix(
     return _replace_keys(element, _matrix_keys(rows), as_coeff(value))
 
 
-@dataclass(frozen=True)
-class TermView:
-    """Parallel (keys, coefficients) lists for one degree, canonically ordered."""
-
-    keys: tuple[TermKey, ...]
-    coeffs: tuple[Coefficient, ...]
-
-
-def term_view(element: AaaElement, degree: int) -> TermView:
-    """Ordered view of one degree's terms; degree is 1, 2 or 3."""
-    if degree not in (1, 2, 3):
-        raise ValueError("degree must be 1, 2 or 3")
-    items = sorted(getattr(element, _ATTRS[degree - 1]).items())
-    return TermView(tuple(k for k, _ in items), tuple(c for _, c in items))
+def _terms(element: AaaElement, degree: int) -> list[tuple[TermKey, Coefficient]]:
+    """One degree's (key, coefficient) pairs in canonical order."""
+    return sorted(getattr(element, _ATTRS[degree - 1]).items())
 
 
 def s1(element: AaaElement) -> list[str]:
     """Degree-1 symbols, parallel to :func:`sc`."""
-    return [key[0] for key in term_view(element, 1).keys]
+    return [key[0] for key, _ in _terms(element, 1)]
 
 
 def sc(element: AaaElement) -> list[Coefficient]:
     """Degree-1 coefficients, parallel to :func:`s1`."""
-    return list(term_view(element, 1).coeffs)
+    return [coeff for _, coeff in _terms(element, 1)]
 
 
 def d1(element: AaaElement) -> list[str]:
     """First symbols of degree-2 terms."""
-    return [key[0] for key in term_view(element, 2).keys]
+    return [key[0] for key, _ in _terms(element, 2)]
 
 
 def d2(element: AaaElement) -> list[str]:
     """Second symbols of degree-2 terms."""
-    return [key[1] for key in term_view(element, 2).keys]
+    return [key[1] for key, _ in _terms(element, 2)]
 
 
 def dc(element: AaaElement) -> list[Coefficient]:
     """Degree-2 coefficients, parallel to :func:`d1` and :func:`d2`."""
-    return list(term_view(element, 2).coeffs)
+    return [coeff for _, coeff in _terms(element, 2)]
 
 
 def t1(element: AaaElement) -> list[str]:
     """First symbols of degree-3 terms."""
-    return [key[0] for key in term_view(element, 3).keys]
+    return [key[0] for key, _ in _terms(element, 3)]
 
 
 def t2(element: AaaElement) -> list[str]:
     """Second symbols of degree-3 terms."""
-    return [key[1] for key in term_view(element, 3).keys]
+    return [key[1] for key, _ in _terms(element, 3)]
 
 
 def t3(element: AaaElement) -> list[str]:
     """Third symbols of degree-3 terms."""
-    return [key[2] for key in term_view(element, 3).keys]
+    return [key[2] for key, _ in _terms(element, 3)]
 
 
 def tc(element: AaaElement) -> list[Coefficient]:
     """Degree-3 coefficients, parallel to the ``t`` columns."""
-    return list(term_view(element, 3).coeffs)
+    return [coeff for _, coeff in _terms(element, 3)]

@@ -107,6 +107,9 @@ def _run_line(src: str, env: Env, lineno: int, tty: bool):
     except AlgebraError as exc:
         print(f"line {lineno}: {exc}", file=sys.stderr)
         return False, False
+    except RecursionError:
+        print(f"line {lineno}: expression nested too deeply", file=sys.stderr)
+        return False, False
     any_false = False
     for value in results:
         if value is None:

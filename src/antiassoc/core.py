@@ -21,6 +21,7 @@ any other K.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -34,6 +35,7 @@ __all__ = [
     "AaaElement",
     "AlgebraContext",
     "DEFAULT_CONTEXT",
+    "SYMBOL_RE",
     "check_symbol",
     "as_coeff",
     "zero",
@@ -44,7 +46,6 @@ __all__ = [
     "sub",
     "scalar_mul",
     "mul",
-    "equals",
 ]
 
 Coefficient = Union[int, Fraction]
@@ -63,39 +64,33 @@ class LengthMismatchError(AlgebraError):
     """Parallel argument lists differ in length."""
 
 
-# Characters with structural meaning in the text format and the
-# expression language; symbols may not contain them (nor whitespace).
-_RESERVED = frozenset(".()+-*=,")
+# The one symbol grammar, shared by check_symbol, textio and exprlang.
+SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def check_symbol(name: object) -> str:
     """Validate a generator name and return it.
 
-    A symbol is a nonempty string that does not start with a digit and
-    contains none of ``. ( ) + - * = ,`` or whitespace.
+    A symbol is an ASCII letter or underscore, then any ASCII letters,
+    digits and underscores: a full match of :data:`SYMBOL_RE`.
     """
-    if not isinstance(name, str) or not name:
-        raise InvalidSymbolError("symbol name must be a nonempty string")
-    if name[0].isdigit():
-        raise InvalidSymbolError(f"symbol name may not start with a digit: {name!r}")
-    for ch in name:
-        if ch in _RESERVED or ch.isspace():
-            raise InvalidSymbolError(
-                f"symbol name contains reserved character {ch!r}: {name!r}"
-            )
+    if not isinstance(name, str) or not SYMBOL_RE.fullmatch(name):
+        raise InvalidSymbolError(f"symbol name must match {SYMBOL_RE.pattern}: {name!r}")
     return name
 
 
 def as_coeff(value: object) -> Coefficient:
     """Coerce to an exact coefficient: an int, or a Fraction in lowest terms.
 
-    Accepts ints, Fractions and rational text like ``"3/2"``.  Floats are
-    rejected: coefficients must be exact.
+    Accepts ints, Fractions and rational text like ``"3/2"``.  Floats and
+    bools are rejected: coefficients must be exact numbers.
     """
-    if isinstance(value, int):
+    if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     if isinstance(value, str):
         try:
             return as_coeff(Fraction(value))
@@ -199,9 +194,6 @@ class AlgebraContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", as_coeff(self.k))
 
-    def mul(self, a: AaaElement, b: AaaElement) -> AaaElement:
-        return mul(self, a, b)
-
 
 DEFAULT_CONTEXT = AlgebraContext()
 
@@ -216,10 +208,7 @@ def from_symbols(names: Iterable[str]) -> AaaElement:
 
     Duplicate names accumulate, so ``["a", "a"]`` gives ``+2a``.
     """
-    singles: dict = {}
-    for name in names:
-        _accumulate(singles, (check_symbol(name),), 1)
-    return AaaElement(singles, {}, {})
+    return _build(((check_symbol(name),), 1) for name in names)
 
 
 def make_element(
@@ -241,37 +230,33 @@ def make_element(
     must have equal lengths; any group may be empty.  Duplicate keys
     accumulate by addition and terms that sum to zero are dropped.
     """
-    return AaaElement(
-        _build_group((s1,), sc, "s1/sc"),
-        _build_group((d1, d2), dc, "d1/d2/dc"),
-        _build_group((t1, t2, t3), tc, "t1/t2/t3/tc"),
-    )
+    pairs: list = []
+    for cols, coeffs, what in (
+        ((s1,), sc, "s1/sc"),
+        ((d1, d2), dc, "d1/d2/dc"),
+        ((t1, t2, t3), tc, "t1/t2/t3/tc"),
+    ):
+        cols = [list(c) for c in cols]
+        coeffs = list(coeffs)
+        if any(len(c) != len(coeffs) for c in cols):
+            raise LengthMismatchError(f"parallel lists {what} must have equal lengths")
+        pairs += zip(zip(*[map(check_symbol, c) for c in cols]), map(as_coeff, coeffs))
+    return _build(pairs)
 
 
-def _build_group(symbol_cols: Sequence[Sequence[str]], coeffs: Sequence, what: str) -> dict:
-    cols = [list(c) for c in symbol_cols]
-    values = list(coeffs)
-    if any(len(c) != len(values) for c in cols):
-        raise LengthMismatchError(f"parallel lists {what} must have equal lengths")
-    out: dict = {}
-    for i, value in enumerate(values):
-        key = tuple(check_symbol(col[i]) for col in cols)
-        _accumulate(out, key, as_coeff(value))
-    return out
-
-
-def _accumulate(m: dict, key: tuple, coeff: Coefficient) -> None:
-    total = m.get(key, 0) + coeff
-    if total:
-        m[key] = total
-    elif key in m:
-        del m[key]
+def _build(pairs: Iterable[tuple[TermKey, Coefficient]]) -> AaaElement:
+    """Sum ``(key, coefficient)`` pairs; ``AaaElement`` drops the zero sums."""
+    maps: tuple[dict, dict, dict] = ({}, {}, {})
+    for key, coeff in pairs:
+        m = maps[len(key) - 1]
+        m[key] = m.get(key, 0) + coeff
+    return AaaElement(*maps)
 
 
 def _merged(x: Mapping, y: Mapping) -> dict:
     out = dict(x)
     for key, coeff in y.items():
-        _accumulate(out, key, coeff)
+        out[key] = out.get(key, 0) + coeff
     return out
 
 
@@ -319,21 +304,20 @@ def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
     more and contributes nothing, so the result never has single-symbol
     terms.
     """
+    # Keys within each of the first two blocks are distinct, so those
+    # blocks assign; only the K block can meet keys already present.
     doubles: dict = {}
     for (i,), ca in a.singles.items():
         for (j,), cb in b.singles.items():
-            _accumulate(doubles, (i, j), ca * cb)
+            doubles[i, j] = ca * cb
     triples: dict = {}
     for (i, j), ca in a.doubles.items():
         for (last,), cb in b.singles.items():
-            _accumulate(triples, (i, j, last), ca * cb)
-    if ctx.k:
+            triples[i, j, last] = ca * cb
+    k = ctx.k
+    if k:
         for (i,), ca in a.singles.items():
             for (j, last), cb in b.doubles.items():
-                _accumulate(triples, (i, j, last), ctx.k * ca * cb)
+                key = (i, j, last)
+                triples[key] = triples.get(key, 0) + k * ca * cb
     return AaaElement({}, doubles, triples)
-
-
-def equals(a: AaaElement, b: AaaElement) -> bool:
-    """True iff the canonical forms are identical."""
-    return a == b

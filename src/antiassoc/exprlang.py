@@ -41,6 +41,7 @@ from typing import Optional, Union
 
 from . import access
 from .core import (
+    SYMBOL_RE,
     AaaElement,
     AlgebraContext,
     AlgebraError,
@@ -62,27 +63,9 @@ __all__ = [
     "EvalError",
     "UnboundVariableError",
     "ScalarOperandError",
-    "Token",
-    "NumberLit",
-    "Var",
-    "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "SymbolList",
-    "Call",
-    "Expr",
-    "SymDecl",
-    "LetStmt",
-    "ExprStmt",
-    "EqualityStmt",
-    "Statement",
     "Env",
     "tokenize",
-    "parse_expr",
     "parse_program",
-    "eval_expr",
-    "exec_statement",
     "run_program",
 ]
 
@@ -128,7 +111,6 @@ class Token:
 
 
 _KEYWORDS = frozenset({"sym", "let"})
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NUMBER_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 _PUNCT = "+-*()=,;"
 
@@ -147,8 +129,15 @@ def tokenize(src: str) -> list[Token]:
             tokens.append(Token(ch, ch, pos))
             i += 1
             continue
-        if ch.isdigit():
-            m = _NUMBER_RE.match(src, i)
+        m = SYMBOL_RE.match(src, i)
+        if m:
+            text = m.group()
+            kind = text if text in _KEYWORDS else "name"
+            tokens.append(Token(kind, text, pos))
+            i = m.end()
+            continue
+        m = _NUMBER_RE.match(src, i)
+        if m:
             text = m.group()
             num, slash, den = text.partition("/")
             if slash and int(den) == 0:
@@ -157,13 +146,6 @@ def tokenize(src: str) -> list[Token]:
             if isinstance(value, Fraction) and value.denominator == 1:
                 value = value.numerator
             tokens.append(Token("number", text, pos, value))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(src, i)
-        if m:
-            text = m.group()
-            kind = text if text in _KEYWORDS else "name"
-            tokens.append(Token(kind, text, pos))
             i = m.end()
             continue
         raise LexError(f"illegal character {ch!r}", pos)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import AaaElement, AlgebraError, _accumulate, check_symbol
+from .core import AaaElement, AlgebraError, _build, check_symbol
 
 __all__ = [
     "EmptyAlphabetError",
@@ -112,10 +112,8 @@ def raaa(
         raise ValueError("coeff_range must be integers with 1 <= lo <= hi")
     rng = Xoshiro256StarStar(seed)
     span = hi - lo + 1
-    maps: tuple[dict, dict, dict] = ({}, {}, {})
-    for width, count in ((1, n1), (2, n2), (3, n3)):
-        target = maps[width - 1]
-        for _ in range(count):
-            key = tuple(alphabet[rng.below(len(alphabet))] for _ in range(width))
-            _accumulate(target, key, lo + rng.below(span))
-    return AaaElement(*maps)
+    return _build(
+        (tuple(alphabet[rng.below(len(alphabet))] for _ in range(width)), lo + rng.below(span))
+        for width, count in ((1, n1), (2, n2), (3, n3))
+        for _ in range(count)
+    )

@@ -17,18 +17,21 @@ prints as ``0``.
     key     := sym | sym '.' sym | '(' sym '.' sym ')' sym
     sym     := [A-Za-z_][A-Za-z_0-9]*
 
-Whitespace between terms is arbitrary on input.  Duplicate keys
-accumulate and zero-coefficient terms are dropped, so parsing is total
-on the grammar and ``parse(serialize(e)) == e`` for every element whose
-symbols fit the ``sym`` production.
+``sym`` is :data:`antiassoc.core.SYMBOL_RE`, the one rule that
+:func:`~antiassoc.core.check_symbol` enforces.  Whitespace between terms
+is arbitrary on input.  Duplicate keys accumulate and zero-coefficient
+terms are dropped, so parsing is total on the grammar and
+``parse(serialize(e)) == e`` (a direct ``AaaElement(...)`` does not yet
+check its symbols).
 """
 
 from __future__ import annotations
 
 import re
-
-from .core import AaaElement, AlgebraError, Coefficient, TermKey, _accumulate, zero
 from fractions import Fraction
+from typing import Iterator
+
+from .core import SYMBOL_RE, AaaElement, AlgebraError, Coefficient, TermKey, _build, zero
 
 __all__ = ["ParseError", "serialize", "parse"]
 
@@ -66,7 +69,6 @@ def serialize(element: AaaElement) -> str:
     return " ".join(_render_term(key, coeff) for key, coeff in terms)
 
 
-_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 
@@ -77,7 +79,7 @@ def _skip_ws(text: str, i: int) -> int:
 
 
 def _parse_symbol(text: str, i: int) -> tuple[str, int]:
-    m = _SYMBOL_RE.match(text, i)
+    m = SYMBOL_RE.match(text, i)
     if not m:
         raise ParseError("expected symbol", i + 1)
     return m.group(), m.end()
@@ -115,7 +117,10 @@ def parse(text: str) -> AaaElement:
         if j < len(text):
             raise ParseError("unexpected text after zero element", j + 1)
         return zero()
-    maps: tuple[dict, dict, dict] = ({}, {}, {})
+    return _build(_terms(text, i))
+
+
+def _terms(text: str, i: int) -> Iterator[tuple[TermKey, Coefficient]]:
     while i < len(text):
         ch = text[i]
         if ch not in "+-":
@@ -138,6 +143,5 @@ def parse(text: str) -> AaaElement:
             i = m.end()
         coeff: Coefficient = sign * num if den == 1 else Fraction(sign * num, den)
         key, i = _parse_key(text, i)
-        _accumulate(maps[len(key) - 1], key, coeff)
+        yield key, coeff
         i = _skip_ws(text, i)
-    return AaaElement(*maps)

@@ -27,7 +27,6 @@ from antiassoc import (
     t2,
     t3,
     tc,
-    term_view,
     triple,
     zero,
 )
@@ -94,6 +93,10 @@ class TestDegreeReplacement:
     def test_nonzero_scalar_rejected(self, split_element):
         with pytest.raises(TypeError):
             set_single(split_element, 5)
+
+    def test_false_rejected(self, split_element):
+        with pytest.raises(TypeError):
+            set_single(split_element, False)
 
 
 class TestKeyedSelection:
@@ -203,12 +206,3 @@ class TestColumnViews:
             tc=tc(element),
         )
         assert rebuilt == element
-
-    def test_term_view_parallel(self, split_element):
-        for degree in (1, 2, 3):
-            view = term_view(split_element, degree)
-            assert len(view.keys) == len(view.coeffs)
-
-    def test_term_view_bad_degree(self, split_element):
-        with pytest.raises(ValueError):
-            term_view(split_element, 4)

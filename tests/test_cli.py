@@ -76,6 +76,22 @@ class TestEval:
         explicit = run_cli("eval", "--seed", "11", "let r = raaa(); r")
         assert with_var.stdout == explicit.stdout
 
+    def test_non_ascii_digit_exits_2(self):
+        proc = run_cli("eval", "\u00b2")
+        assert proc.returncode == 2
+        assert proc.stderr == "line 1: col 1: illegal character '\u00b2'\n"
+
+    def test_long_flat_sum_exits_2(self):
+        proc = run_cli("eval", "sym a; " + "+".join(["a"] * 5000))
+        assert proc.returncode == 2
+        assert proc.stderr == "line 1: expression nested too deeply\n"
+
+    def test_deep_nesting_exits_2(self):
+        for deep in ("(" * 3000 + "a" + ")" * 3000, "-" * 3000 + "a"):
+            proc = run_cli("eval", stdin=f"sym a\n{deep}\n")
+            assert proc.returncode == 2
+            assert proc.stderr == "line 2: expression nested too deeply\n"
+
     def test_unknown_flag_exits_64(self):
         proc = run_cli("eval", "--bogus", "sym a; a")
         assert proc.returncode == 64
@@ -163,6 +179,12 @@ class TestRepl:
         assert proc.returncode == 0
         assert proc.stdout == "+1a\n"
         assert "unbound" in proc.stderr
+
+    def test_deep_nesting_is_recoverable(self):
+        proc = run_cli("repl", stdin="sym a\n" + "(" * 3000 + "a" + ")" * 3000 + "\na\n")
+        assert proc.returncode == 0
+        assert proc.stdout == "+1a\n"
+        assert "nested too deeply" in proc.stderr
 
     def test_reseed_command(self):
         script = ":seed 4\nraaa()\n"

@@ -11,7 +11,6 @@ from antiassoc import (
     add,
     as_coeff,
     check_symbol,
-    equals,
     from_symbols,
     make_element,
     mul,
@@ -35,7 +34,10 @@ class TestSymbols:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "9a", "a.b", "a b", "a+b", "p*q", "x(", "y)", "u=v", "s,t", "a\tb", "a-b"],
+        [
+            "", "9a", "a.b", "a b", "a+b", "p*q", "x(", "y)", "u=v", "s,t", "a\tb", "a-b",
+            "é", "a$", "a:b", "x'", "ab/c",
+        ],
     )
     def test_invalid_names(self, bad):
         with pytest.raises(InvalidSymbolError):
@@ -60,6 +62,11 @@ class TestCoefficients:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             as_coeff(0.5)
+
+    def test_bool_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                as_coeff(flag)
 
     def test_bad_text(self):
         with pytest.raises(ValueError):
@@ -181,7 +188,7 @@ class TestMultiplication:
         assert serialize(mul(half, a, mul(half, b, c))) == "+5/2(a.b)c"
 
     def test_distributivity_instance(self, x, x1, y):
-        assert equals(x * (x1 + y), x * x1 + x * y)
+        assert x * (x1 + y) == x * x1 + x * y
 
 
 class TestImmutability:

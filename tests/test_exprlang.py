@@ -71,6 +71,12 @@ class TestTokenize:
             tokenize("a $ b")
         assert err.value.pos == 3
 
+    def test_non_ascii_digit_is_illegal(self):
+        for src in ("²", "٣"):
+            with pytest.raises(LexError) as err:
+                tokenize(src)
+            assert err.value.pos == 1
+
     def test_zero_denominator_literal(self):
         with pytest.raises(LexError):
             tokenize("1/0")

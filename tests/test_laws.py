@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from antiassoc import (
     AaaElement,
     AlgebraContext,
+    InvalidSymbolError,
     KeySelector,
     add,
     double,
+    from_symbols,
     extract,
     extract_matrix,
     make_element,
@@ -125,6 +127,15 @@ def test_column_views_rebuild_element(e):
 
 @given(elements)
 def test_round_trip_through_text(e):
+    assert parse(serialize(e)) == e
+
+
+@given(st.text())
+def test_every_accepted_symbol_round_trips(name):
+    try:
+        e = from_symbols([name])
+    except InvalidSymbolError:
+        return
     assert parse(serialize(e)) == e
 
 
