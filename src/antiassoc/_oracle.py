@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import AaaElement, TermKey, _build, as_coeff, zero
+from .core import AaaElement, TermKey, _build, as_coeff, check_symbol, zero
 
 __all__ = ["Leaf", "Node", "Tree", "degree", "normalize", "naive_mul"]
 
@@ -64,6 +64,7 @@ def normalize(k: object, tree: Tree, coeff: object = 1) -> AaaElement:
     key, power = _combed(tree)
     if key is None:
         return zero()
+    key = tuple(map(check_symbol, key))
     return _build([(key, as_coeff(coeff) * as_coeff(k) ** power)])
 
 

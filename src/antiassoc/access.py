@@ -102,17 +102,17 @@ _ATTRS = ("singles", "doubles", "triples")
 
 def single(element: AaaElement) -> AaaElement:
     """The degree-1 part of the element."""
-    return AaaElement(element.singles, {}, {})
+    return AaaElement._trusted(element.singles, {}, {})
 
 
 def double(element: AaaElement) -> AaaElement:
     """The degree-2 part of the element."""
-    return AaaElement({}, element.doubles, {})
+    return AaaElement._trusted({}, element.doubles, {})
 
 
 def triple(element: AaaElement) -> AaaElement:
     """The degree-3 part of the element."""
-    return AaaElement({}, {}, element.triples)
+    return AaaElement._trusted({}, {}, element.triples)
 
 
 def _set_degree(element: AaaElement, replacement: object, degree: int) -> AaaElement:
@@ -130,7 +130,7 @@ def _set_degree(element: AaaElement, replacement: object, degree: int) -> AaaEle
         raise TypeError("replacement must be an element or the literal 0")
     parts = {a: getattr(element, a) for a in _ATTRS}
     parts[attr] = new_map
-    return AaaElement(parts["singles"], parts["doubles"], parts["triples"])
+    return AaaElement._trusted(parts["singles"], parts["doubles"], parts["triples"])
 
 
 def set_single(element: AaaElement, replacement: object) -> AaaElement:
@@ -155,7 +155,7 @@ def _extract_keys(element: AaaElement, keys: Sequence[TermKey]) -> AaaElement:
         src = maps[len(key) - 1]
         if key in src:
             picked[len(key) - 1][key] = src[key]
-    return AaaElement(*picked)
+    return AaaElement._trusted(*picked)
 
 
 def _replace_keys(
@@ -168,7 +168,7 @@ def _replace_keys(
             target[key] = value
         else:
             target.pop(key, None)
-    return AaaElement(*parts)
+    return AaaElement._trusted(*parts)
 
 
 def extract(element: AaaElement, selector: KeySelector) -> AaaElement:

@@ -63,7 +63,7 @@ def random_rational_element(seed: int) -> AaaElement:
             coeff = as_coeff(Fraction(num, den))
             if coeff:
                 maps[width - 1][key] = coeff
-    return AaaElement(*maps)
+    return AaaElement._trusted(*maps)
 
 
 def _scalar(rng: Xoshiro256StarStar) -> Fraction:

@@ -1,9 +1,9 @@
 """Command-line front end: ``aaa eval``, ``aaa repl``, ``aaa parse``, ``aaa check``.
 
-Exit codes: 0 success, 1 property failure or false equality, 2 parse or
-evaluation error, 64 usage error.  Output is machine-readable when
-piped: one canonical text line per value.  When stdout is a terminal,
-each element is prefixed by a header line.
+Exit codes: 0 success, 1 property failure or false equality, 2 parse,
+evaluation or internal error, 64 usage error.  Output is machine-readable
+when piped: one canonical text line per value.  When stdout is a
+terminal, each element is prefixed by a header line.
 """
 
 from __future__ import annotations
@@ -229,10 +229,15 @@ def _cmd_check(parser: _ArgumentParser, args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval":
-        return _cmd_eval(parser, args)
-    if args.command == "repl":
-        return _cmd_repl(parser, args)
-    if args.command == "parse":
-        return _cmd_parse(args)
-    return _cmd_check(parser, args)
+    try:
+        if args.command == "eval":
+            return _cmd_eval(parser, args)
+        if args.command == "repl":
+            return _cmd_repl(parser, args)
+        if args.command == "parse":
+            return _cmd_parse(args)
+        return _cmd_check(parser, args)
+    except Exception as exc:
+        # Last resort: a crash is an error (2), never a traceback or a "false" (1).
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 2

@@ -109,8 +109,8 @@ class AaaElement:
     Keys are tuples of 1, 2 or 3 symbol names; a 3-tuple ``(i, j, k)``
     always denotes the left bracketing ``(i.j)k``.  The maps never store
     a zero coefficient, so map equality is element equality.  Elements
-    are immutable values: every operation returns a new element, and the
-    maps must be treated as read-only.
+    are immutable, hashable values: every operation returns a new element,
+    and the maps must be treated as read-only.
     """
 
     singles: dict[TermKey, Coefficient]
@@ -130,12 +130,37 @@ class AaaElement:
                     raise LengthMismatchError(
                         f"{attr} key {key!r} does not have degree {degree}"
                     )
-                if not all(isinstance(s, str) and s for s in key):
-                    raise InvalidSymbolError(f"bad symbol in term key {key!r}")
+                for symbol in key:
+                    check_symbol(symbol)
                 coeff = as_coeff(value)
                 if coeff:
                     clean[key] = coeff
             object.__setattr__(self, attr, clean)
+
+    @classmethod
+    def _trusted(cls, singles: dict, doubles: dict, triples: dict) -> AaaElement:
+        """Wrap maps that already hold the invariants, without copy or check.
+
+        The invariants are the ones ``__post_init__`` establishes: keys are
+        tuples of the map's degree over valid symbols, and every coefficient
+        is a nonzero int or a Fraction whose denominator is not 1.  Every
+        operation builds its result this way; ``AaaElement(...)`` is the
+        checked constructor for maps from outside.
+        """
+        element = object.__new__(cls)
+        object.__setattr__(element, "singles", singles)
+        object.__setattr__(element, "doubles", doubles)
+        object.__setattr__(element, "triples", triples)
+        return element
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                frozenset(self.singles.items()),
+                frozenset(self.doubles.items()),
+                frozenset(self.triples.items()),
+            )
+        )
 
     def terms(self) -> list[tuple[TermKey, Coefficient]]:
         """All (key, coefficient) pairs in canonical order.
@@ -200,7 +225,7 @@ DEFAULT_CONTEXT = AlgebraContext()
 
 def zero() -> AaaElement:
     """The additive identity: the element with no terms."""
-    return AaaElement({}, {}, {})
+    return AaaElement._trusted({}, {}, {})
 
 
 def from_symbols(names: Iterable[str]) -> AaaElement:
@@ -245,24 +270,40 @@ def make_element(
 
 
 def _build(pairs: Iterable[tuple[TermKey, Coefficient]]) -> AaaElement:
-    """Sum ``(key, coefficient)`` pairs; ``AaaElement`` drops the zero sums."""
+    """Sum checked ``(key, coefficient)`` pairs into an element."""
     maps: tuple[dict, dict, dict] = ({}, {}, {})
     for key, coeff in pairs:
         m = maps[len(key) - 1]
-        m[key] = m.get(key, 0) + coeff
-    return AaaElement(*maps)
+        total = m.get(key, 0) + coeff
+        if total:
+            m[key] = total
+        else:
+            m.pop(key, None)
+    return AaaElement._trusted(*map(_ints, maps))
+
+
+def _ints(m: dict) -> dict:
+    """``m`` with its integral Fractions turned into ints, in place."""
+    for key, c in m.items():
+        if type(c) is not int and c.denominator == 1:
+            m[key] = c.numerator
+    return m
 
 
 def _merged(x: Mapping, y: Mapping) -> dict:
     out = dict(x)
     for key, coeff in y.items():
-        out[key] = out.get(key, 0) + coeff
-    return out
+        total = out.get(key, 0) + coeff
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return _ints(out)
 
 
 def add(a: AaaElement, b: AaaElement) -> AaaElement:
     """Elementwise sum; keys whose coefficients cancel are removed."""
-    return AaaElement(
+    return AaaElement._trusted(
         _merged(a.singles, b.singles),
         _merged(a.doubles, b.doubles),
         _merged(a.triples, b.triples),
@@ -270,7 +311,7 @@ def add(a: AaaElement, b: AaaElement) -> AaaElement:
 
 
 def neg(a: AaaElement) -> AaaElement:
-    return AaaElement(
+    return AaaElement._trusted(
         {k: -c for k, c in a.singles.items()},
         {k: -c for k, c in a.doubles.items()},
         {k: -c for k, c in a.triples.items()},
@@ -286,10 +327,10 @@ def scalar_mul(c: object, a: AaaElement) -> AaaElement:
     c = as_coeff(c)
     if not c:
         return zero()
-    return AaaElement(
-        {k: c * v for k, v in a.singles.items()},
-        {k: c * v for k, v in a.doubles.items()},
-        {k: c * v for k, v in a.triples.items()},
+    return AaaElement._trusted(
+        _ints({k: c * v for k, v in a.singles.items()}),
+        _ints({k: c * v for k, v in a.doubles.items()}),
+        _ints({k: c * v for k, v in a.triples.items()}),
     )
 
 
@@ -319,5 +360,9 @@ def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
         for (i,), ca in a.singles.items():
             for (j, last), cb in b.doubles.items():
                 key = (i, j, last)
-                triples[key] = triples.get(key, 0) + k * ca * cb
-    return AaaElement({}, doubles, triples)
+                total = triples.get(key, 0) + k * ca * cb
+                if total:
+                    triples[key] = total
+                else:
+                    del triples[key]
+    return AaaElement._trusted({}, _ints(doubles), _ints(triples))

@@ -21,8 +21,7 @@ prints as ``0``.
 :func:`~antiassoc.core.check_symbol` enforces.  Whitespace between terms
 is arbitrary on input.  Duplicate keys accumulate and zero-coefficient
 terms are dropped, so parsing is total on the grammar and
-``parse(serialize(e)) == e`` (a direct ``AaaElement(...)`` does not yet
-check its symbols).
+``parse(serialize(e)) == e`` for every element.
 """
 
 from __future__ import annotations

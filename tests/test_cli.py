@@ -1,6 +1,9 @@
 import subprocess
 import sys
 
+import pytest
+
+from antiassoc import cli
 from conftest import KEYED_EXTRACT_OUT, KEYED_EXTRACT_SRC, X_PLUS_X1_TEXT
 
 
@@ -91,6 +94,24 @@ class TestEval:
             proc = run_cli("eval", stdin=f"sym a\n{deep}\n")
             assert proc.returncode == 2
             assert proc.stderr == "line 2: expression nested too deeply\n"
+
+    def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
+        def crash(src, env):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_program", crash)
+        assert cli.main(["eval", "sym a; a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError('boom')\n"
+
+    def test_interrupt_is_not_an_internal_error(self, monkeypatch):
+        def interrupt(src, env):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_program", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["eval", "sym a; a"])
 
     def test_unknown_flag_exits_64(self):
         proc = run_cli("eval", "--bogus", "sym a; a")

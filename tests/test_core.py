@@ -15,6 +15,7 @@ from antiassoc import (
     make_element,
     mul,
     neg,
+    parse,
     scalar_mul,
     serialize,
     sub,
@@ -118,6 +119,34 @@ class TestConstruction:
     def test_direct_construction_rejects_wrong_degree(self):
         with pytest.raises(LengthMismatchError):
             AaaElement({("a", "b"): 1}, {}, {})
+
+    def test_direct_construction_rejects_bad_symbol(self):
+        # "+1a.b" would parse back as a degree-2 term.
+        with pytest.raises(InvalidSymbolError):
+            AaaElement({("a.b",): 1}, {}, {})
+        for maps in (({}, {("a", ""): 1}, {}), ({}, {}, {("a", "b", "\u00e9"): 1})):
+            with pytest.raises(InvalidSymbolError):
+                AaaElement(*maps)
+
+
+class TestHashing:
+    def test_equal_elements_hash_equal(self):
+        assert hash(parse("+1a")) == hash(from_symbols(["a"]))
+
+    def test_set_collapses_equal_elements(self):
+        a, b = gens("a", "b")
+        routes = {
+            parse("+1a.b"),
+            a * b,
+            make_element(d1=["a"], d2=["b"], dc=[1]),
+            AaaElement({}, {("a", "b"): Fraction(2, 2)}, {}),
+        }
+        assert routes == {a * b}
+
+    def test_element_as_dict_key(self):
+        table = {from_symbols(["a", "a"]): "two a"}
+        assert table[parse("+2a")] == "two a"
+        assert zero() not in table
 
 
 class TestAddition:

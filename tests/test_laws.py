@@ -19,8 +19,14 @@ from antiassoc import (
     mul,
     neg,
     parse,
+    raaa,
+    replace,
+    replace_matrix,
     scalar_mul,
     serialize,
+    set_double,
+    set_single,
+    set_triple,
     single,
     sub,
     triple,
@@ -28,6 +34,7 @@ from antiassoc import (
 )
 from antiassoc._oracle import naive_mul
 from antiassoc.access import d1, d2, dc, s1, sc, t1, t2, t3, tc
+from antiassoc.checks import random_rational_element
 
 SYMS = st.sampled_from(["a", "b", "c", "d", "foo"])
 coeffs = st.one_of(
@@ -155,3 +162,71 @@ def test_keyed_and_matrix_selection_agree(e, rows):
 @given(elements, elements, contexts)
 def test_structured_product_matches_tree_rewriting(u, v, ctx):
     assert mul(ctx, u, v) == naive_mul(ctx.k, u, v)
+
+
+NAMES = st.one_of(SYMS, st.text(max_size=3))
+
+
+@given(
+    st.dictionaries(st.tuples(NAMES), coeffs, max_size=3),
+    st.dictionaries(st.tuples(NAMES, NAMES), coeffs, max_size=3),
+    st.dictionaries(st.tuples(NAMES, NAMES, NAMES), coeffs, max_size=3),
+)
+def test_every_directly_constructed_element_round_trips(singles, doubles, triples):
+    try:
+        e = AaaElement(singles, doubles, triples)
+    except InvalidSymbolError:
+        return
+    assert parse(serialize(e)) == e
+
+
+def _assert_clean(r):
+    """``r`` holds the invariants that the checked constructor establishes."""
+    assert AaaElement(r.singles, r.doubles, r.triples) == r
+    for degree, m in enumerate((r.singles, r.doubles, r.triples), 1):
+        for key, c in m.items():
+            assert type(key) is tuple and len(key) == degree
+            assert c != 0
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+mixed_elements = st.one_of(elements, st.integers(0, 2**64 - 1).map(random_rational_element))
+trusted_contexts = st.sampled_from(
+    [AlgebraContext(k) for k in (-1, 0, 1, 2, Fraction(1, 2))]
+)
+
+
+@given(mixed_elements, mixed_elements, coeffs, trusted_contexts, st.lists(_key(2), max_size=4))
+def test_internal_results_hold_the_invariants(u, v, c, ctx, rows):
+    sel = KeySelector(s1=["a", "foo"], d1=[r[0] for r in rows], d2=[r[1] for r in rows])
+    results = [
+        add(u, v), sub(u, v), sub(u, u), neg(u), scalar_mul(c, u), mul(ctx, u, v),
+        single(u), double(u), triple(u),
+        set_single(u, single(v)), set_double(u, double(v)), set_triple(u, 0),
+        extract(u, sel), replace(u, sel, c), replace(u, sel, 0),
+        extract_matrix(u, rows), replace_matrix(u, rows, c),
+        parse(serialize(u)), zero(),
+    ]
+    for r in results:
+        _assert_clean(r)
+
+
+@given(st.integers(0, 2**64 - 1))
+def test_raaa_results_hold_the_invariants(seed):
+    _assert_clean(raaa(seed))
+    _assert_clean(raaa(seed, n1=20, n2=20, n3=20, coeff_range=(1, 1)))
+
+
+def test_integral_results_are_ints():
+    a, two_a = from_symbols(["a"]), parse("+2a")
+    cases = [
+        (scalar_mul(Fraction(1, 2), two_a), ("a",)),
+        (add(parse("+1/2a"), parse("+1/2a")), ("a",)),
+        (parse("+4/2a"), ("a",)),
+        (mul(AlgebraContext(Fraction(1, 2)), a, parse("+2b.c")), ("a", "b", "c")),
+        (mul(AlgebraContext(), parse("+3/2a"), parse("+2/3b")), ("a", "b")),
+        (naive_mul(Fraction(1, 2), a, parse("+2b.c")), ("a", "b", "c")),
+    ]
+    for r, key in cases:
+        _assert_clean(r)
+        assert type(r.terms()[0][1]) is int and r.terms()[0][0] == key

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from antiassoc import DEFAULT_CONTEXT, AlgebraContext, mul, parse, serialize, zero
+from antiassoc import (
+    DEFAULT_CONTEXT,
+    AlgebraContext,
+    InvalidSymbolError,
+    mul,
+    parse,
+    serialize,
+    zero,
+)
 from antiassoc._oracle import Leaf, Node, degree, naive_mul, normalize
 from antiassoc.rng import SplitMix64, raaa
 from conftest import PRODUCT_TEXT, build_x, build_x1, build_y
@@ -38,6 +46,10 @@ class TestNormalize:
         a, b, c = leaves("a", "b", "c")
         out = normalize(-1, Node(a, Node(b, c)), coeff=Fraction(3, 2))
         assert serialize(out) == "-3/2(a.b)c"
+
+    def test_bad_leaf_name_rejected(self):
+        with pytest.raises(InvalidSymbolError):
+            normalize(-1, Node(Leaf("a.b"), Leaf("c")))
 
 
 def _all_trees(names):
