@@ -48,6 +48,10 @@ class PropertyReport:
 _RATIONAL_ALPHABET = ("a", "b", "c", "d", "foo", "x1")
 
 
+def _scalar(rng: Xoshiro256StarStar) -> Fraction:
+    return Fraction(rng.below(19) - 9, 1 + rng.below(9))
+
+
 def random_rational_element(seed: int) -> AaaElement:
     """A seed-determined element with rational (not just integer) coefficients."""
     rng = Xoshiro256StarStar(seed)
@@ -58,16 +62,10 @@ def random_rational_element(seed: int) -> AaaElement:
                 _RATIONAL_ALPHABET[rng.below(len(_RATIONAL_ALPHABET))]
                 for _ in range(width)
             )
-            num = rng.below(19) - 9
-            den = 1 + rng.below(9)
-            coeff = as_coeff(Fraction(num, den))
+            coeff = as_coeff(_scalar(rng))
             if coeff:
                 maps[width - 1][key] = coeff
     return AaaElement._trusted(*maps)
-
-
-def _scalar(rng: Xoshiro256StarStar) -> Fraction:
-    return Fraction(rng.below(19) - 9, 1 + rng.below(9))
 
 
 def _fmt(**elements: AaaElement) -> str:

@@ -1,9 +1,11 @@
 """Command-line front end: ``aaa eval``, ``aaa repl``, ``aaa parse``, ``aaa check``.
 
 Exit codes: 0 success, 1 property failure or false equality, 2 parse,
-evaluation or internal error, 64 usage error.  Output is machine-readable
-when piped: one canonical text line per value.  When stdout is a
-terminal, each element is prefixed by a header line.
+evaluation or internal error, 64 usage error.  A coefficient too long for
+``str()`` is a ``line N: cannot print the result: ...`` error: ``eval``
+and ``parse`` exit 2 and ``repl`` goes on to the next line.  Output is
+machine-readable when piped: one canonical text line per value.  When
+stdout is a terminal, each element is prefixed by a header line.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from .checks import run_suite
 from .core import AlgebraContext, AlgebraError
@@ -88,13 +91,17 @@ def _resolve_seed(parser: _ArgumentParser, value) -> int:
         parser.error(f"invalid seed: {raw!r}")
 
 
-def _print_value(value, tty: bool) -> None:
-    if isinstance(value, bool):
-        print("true" if value else "false")
-        return
-    if tty:
-        print(HEADER)
-    print(serialize(value))
+def _serialize_or_report(element, lineno: int) -> Optional[str]:
+    """``serialize(element)``, or None once a too-long coefficient is reported."""
+    try:
+        return serialize(element)
+    except ValueError:  # str() refuses ints longer than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        print(
+            f"line {lineno}: cannot print the result: a coefficient has more than {limit} digits",
+            file=sys.stderr,
+        )
+        return None
 
 
 def _run_line(src: str, env: Env, lineno: int, tty: bool):
@@ -112,11 +119,16 @@ def _run_line(src: str, env: Env, lineno: int, tty: bool):
         return False, False
     any_false = False
     for value in results:
-        if value is None:
-            continue
-        if value is False:
-            any_false = True
-        _print_value(value, tty)
+        if isinstance(value, bool):
+            any_false = any_false or not value
+            print("true" if value else "false")
+        elif value is not None:
+            text = _serialize_or_report(value, lineno)
+            if text is None:
+                return False, False
+            if tty:
+                print(HEADER)
+            print(text)
     return True, any_false
 
 
@@ -203,7 +215,9 @@ def _cmd_parse(args) -> int:
         except ParseError as exc:
             print(f"line {lineno}: {exc.message}", file=sys.stderr)
             return 2
-        out = serialize(element)
+        out = _serialize_or_report(element, lineno)
+        if out is None:
+            return 2
         print(out)
         if args.roundtrip and out != line:
             status = 1

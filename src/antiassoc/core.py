@@ -83,14 +83,18 @@ def as_coeff(value: object) -> Coefficient:
     """Coerce to an exact coefficient: an int, or a Fraction in lowest terms.
 
     Accepts ints, Fractions and rational text like ``"3/2"``.  Floats and
-    bools are rejected: coefficients must be exact numbers.
+    bools are rejected: coefficients must be exact numbers.  The result is
+    exactly an ``int`` or a ``Fraction``, never a subclass, so ``str()``
+    prints it in canonical form.
     """
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+        if value.denominator == 1:
+            return int(value.numerator)
+        return value if type(value) is Fraction else Fraction(value.numerator, value.denominator)
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        return int(value)
     if isinstance(value, str):
         try:
             return as_coeff(Fraction(value))

@@ -34,7 +34,7 @@ second positional argument, and ``set_*(e, 0)`` clears a degree.
 from __future__ import annotations
 
 import re
-
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -48,6 +48,7 @@ from .core import (
     Coefficient,
     DEFAULT_CONTEXT,
     add,
+    as_coeff,
     from_symbols,
     mul,
     neg,
@@ -140,11 +141,13 @@ def tokenize(src: str) -> list[Token]:
         if m:
             text = m.group()
             num, slash, den = text.partition("/")
-            if slash and int(den) == 0:
-                raise LexError("zero denominator in rational literal", pos)
-            value = Fraction(int(num), int(den)) if slash else int(num)
-            if isinstance(value, Fraction) and value.denominator == 1:
-                value = value.numerator
+            try:
+                value = as_coeff(Fraction(int(num), int(den))) if slash else int(num)
+            except ZeroDivisionError:
+                raise LexError("zero denominator in rational literal", pos) from None
+            except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
+                limit = sys.get_int_max_str_digits()
+                raise LexError(f"number longer than {limit} digits", pos) from None
             tokens.append(Token("number", text, pos, value))
             i = m.end()
             continue
@@ -490,34 +493,18 @@ def _arity(node: Call, count: int) -> None:
         )
 
 
-def _no_kwargs(node: Call) -> None:
-    if node.kwargs:
-        name = node.kwargs[0][0]
-        raise EvalError(f"{node.func}() takes no keyword arguments ('{name}')", node.pos)
-
-
 def _element_arg(node: Call, env: Env, index: int) -> AaaElement:
     arg = node.args[index]
     return _require_element(eval_expr(arg, env), arg.pos)
 
 
-def _eval_degree(node: Call, env: Env, fn) -> AaaElement:
-    _arity(node, 1)
-    _no_kwargs(node)
-    return fn(_element_arg(node, env, 0))
-
-
-def _eval_set_degree(node: Call, env: Env, fn) -> AaaElement:
-    _arity(node, 2)
-    _no_kwargs(node)
+def _eval_degree(node: Call, env: Env, fn, arity: int) -> AaaElement:
+    _arity(node, arity)
+    if node.kwargs:
+        name = node.kwargs[0][0]
+        raise EvalError(f"{node.func}() takes no keyword arguments ('{name}')", node.pos)
     target = _element_arg(node, env, 0)
-    replacement = eval_expr(node.args[1], env)
-    if _is_scalar(replacement) and replacement != 0:
-        raise EvalError(
-            f"{node.func}() replacement must be an element or the literal 0",
-            node.args[1].pos,
-        )
-    return fn(target, replacement)
+    return fn(target, *(eval_expr(arg, env) for arg in node.args[1:]))
 
 
 _SELECTOR_GROUPS = ("s1", "d1", "d2", "t1", "t2", "t3")
@@ -551,9 +538,9 @@ def _eval_replace(node: Call, env: Env) -> AaaElement:
     return access.replace(_element_arg(node, env, 0), _selector(node), value)
 
 
-def _int_kwarg(name: str, value, minimum: int = 0) -> int:
-    if not isinstance(value, NumberLit) or not isinstance(value.value, int) or value.value < minimum:
-        raise EvalError(f"'{name}' must be an integer >= {minimum}", value.pos)
+def _int_kwarg(name: str, value) -> int:
+    if not isinstance(value, NumberLit) or not isinstance(value.value, int) or value.value < 0:
+        raise EvalError(f"'{name}' must be an integer >= 0", value.pos)
     return value.value
 
 
@@ -581,12 +568,12 @@ def _eval_raaa(node: Call, env: Env) -> AaaElement:
 
 
 _BUILTINS = {
-    "single": lambda node, env: _eval_degree(node, env, access.single),
-    "double": lambda node, env: _eval_degree(node, env, access.double),
-    "triple": lambda node, env: _eval_degree(node, env, access.triple),
-    "set_single": lambda node, env: _eval_set_degree(node, env, access.set_single),
-    "set_double": lambda node, env: _eval_set_degree(node, env, access.set_double),
-    "set_triple": lambda node, env: _eval_set_degree(node, env, access.set_triple),
+    "single": lambda node, env: _eval_degree(node, env, access.single, 1),
+    "double": lambda node, env: _eval_degree(node, env, access.double, 1),
+    "triple": lambda node, env: _eval_degree(node, env, access.triple, 1),
+    "set_single": lambda node, env: _eval_degree(node, env, access.set_single, 2),
+    "set_double": lambda node, env: _eval_degree(node, env, access.set_double, 2),
+    "set_triple": lambda node, env: _eval_degree(node, env, access.set_triple, 2),
     "extract": _eval_extract,
     "replace": _eval_replace,
     "raaa": _eval_raaa,

@@ -20,13 +20,15 @@ prints as ``0``.
 ``sym`` is :data:`antiassoc.core.SYMBOL_RE`, the one rule that
 :func:`~antiassoc.core.check_symbol` enforces.  Whitespace between terms
 is arbitrary on input.  Duplicate keys accumulate and zero-coefficient
-terms are dropped, so parsing is total on the grammar and
-``parse(serialize(e)) == e`` for every element.
+terms are dropped, so parsing is total on the grammar, up to the
+interpreter's limit on the digits of one number, and
+``parse(serialize(e)) == e`` for every element that serializes.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator
 
@@ -44,37 +46,23 @@ class ParseError(AlgebraError):
         self.column = column
 
 
-def _render_key(key: TermKey) -> str:
-    if len(key) == 1:
-        return key[0]
-    if len(key) == 2:
-        return f"{key[0]}.{key[1]}"
-    return f"({key[0]}.{key[1]}){key[2]}"
-
-
-def _render_term(key: TermKey, coeff: Coefficient) -> str:
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    num, den = mag.numerator, mag.denominator
-    magnitude = str(num) if den == 1 else f"{num}/{den}"
-    return f"{sign}{magnitude}{_render_key(key)}"
-
-
 def serialize(element: AaaElement) -> str:
-    """Render the canonical one-line form; equal elements render identically."""
-    terms = element.terms()
-    if not terms:
-        return "0"
-    return " ".join(_render_term(key, coeff) for key, coeff in terms)
+    """Render the canonical one-line form; equal elements render identically.
+
+    Magnitudes are printed by ``str()``, which raises ``ValueError`` for an
+    int longer than ``sys.get_int_max_str_digits()`` (4300 by default).
+    """
+    terms = [f"{'' if c < 0 else '+'}{c}{i}" for (i,), c in sorted(element.singles.items())]
+    terms += [f"{'' if c < 0 else '+'}{c}{i}.{j}" for (i, j), c in sorted(element.doubles.items())]
+    terms += [
+        f"{'' if c < 0 else '+'}{c}({i}.{j}){k}"
+        for (i, j, k), c in sorted(element.triples.items())
+    ]
+    return " ".join(terms) or "0"
 
 
 _DIGITS_RE = re.compile(r"[0-9]+")
-
-
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
+_WS_RE = re.compile(r"\s*")
 
 
 def _parse_symbol(text: str, i: int) -> tuple[str, int]:
@@ -106,13 +94,14 @@ def parse(text: str) -> AaaElement:
     """Parse canonical text into an element.
 
     Raises :class:`ParseError` (carrying a 1-based ``column``) on any
-    input outside the grammar.
+    input outside the grammar, and at a number with more digits than
+    ``sys.get_int_max_str_digits()`` allows.
     """
-    i = _skip_ws(text, 0)
+    i = _WS_RE.match(text).end()
     if i >= len(text):
         raise ParseError("empty input", i + 1)
     if text[i] == "0":
-        j = _skip_ws(text, i + 1)
+        j = _WS_RE.match(text, i + 1).end()
         if j < len(text):
             raise ParseError("unexpected text after zero element", j + 1)
         return zero()
@@ -126,21 +115,26 @@ def _terms(text: str, i: int) -> Iterator[tuple[TermKey, Coefficient]]:
             raise ParseError(f"expected '+' or '-', found {ch!r}", i + 1)
         sign = -1 if ch == "-" else 1
         i += 1
-        m = _DIGITS_RE.match(text, i)
-        if not m:
-            raise ParseError("expected digits after sign", i + 1)
-        num = int(m.group())
-        i = m.end()
-        den = 1
-        if i < len(text) and text[i] == "/":
-            m = _DIGITS_RE.match(text, i + 1)
+        start = i
+        try:
+            m = _DIGITS_RE.match(text, i)
             if not m:
-                raise ParseError("expected digits after '/'", i + 2)
-            den = int(m.group())
-            if den == 0:
-                raise ParseError("zero denominator", i + 2)
+                raise ParseError("expected digits after sign", i + 1)
+            num = int(m.group())
             i = m.end()
+            den = 1
+            if i < len(text) and text[i] == "/":
+                m = _DIGITS_RE.match(text, i + 1)
+                if not m:
+                    raise ParseError("expected digits after '/'", i + 2)
+                den = int(m.group())
+                if den == 0:
+                    raise ParseError("zero denominator", i + 2)
+                i = m.end()
+        except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"number longer than {limit} digits", start + 1) from None
         coeff: Coefficient = sign * num if den == 1 else Fraction(sign * num, den)
         key, i = _parse_key(text, i)
         yield key, coeff
-        i = _skip_ws(text, i)
+        i = _WS_RE.match(text, i).end()

@@ -95,6 +95,18 @@ class TestEval:
             assert proc.returncode == 2
             assert proc.stderr == "line 2: expression nested too deeply\n"
 
+    def test_number_over_the_digit_limit_exits_2(self):
+        proc = run_cli("eval", f"sym a; {'9' * (sys.get_int_max_str_digits() + 1)}*a")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("line 1: col 8: number longer than")
+
+    def test_unprintable_result_exits_2(self):
+        proc = run_cli("eval", f"sym a; let x = {'9' * 2000}*a; a", "x*(x*x)", "a")
+        assert proc.returncode == 2
+        assert proc.stdout == "+1a\n"
+        assert proc.stderr.startswith("line 2: cannot print the result")
+        assert "internal error" not in proc.stderr
+
     def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
         def crash(src, env):
             raise RuntimeError("boom")
@@ -152,6 +164,20 @@ class TestParseCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("line 2:")
 
+    def test_numbers_over_the_digit_limit_exit_2(self):
+        limit = sys.get_int_max_str_digits()
+        at_limit = "9" * limit
+        for text, message in (
+            (f"+9{at_limit}a", f"line 1: number longer than {limit} digits"),
+            (
+                f"+{at_limit}a +{at_limit}a",
+                f"line 1: cannot print the result: a coefficient has more than {limit} digits",
+            ),
+        ):
+            proc = run_cli("parse", stdin=text + "\n")
+            assert proc.returncode == 2
+            assert proc.stderr.strip() == message
+
 
 class TestCheckCommand:
     def test_small_run_passes(self):
@@ -206,6 +232,22 @@ class TestRepl:
         assert proc.returncode == 0
         assert proc.stdout == "+1a\n"
         assert "nested too deeply" in proc.stderr
+
+    def test_unprintable_result_is_recoverable(self):
+        script = (
+            f"sym a; let x = {'9' * 2000}*a\n"
+            "x*(x*x)\n"
+            f"{'9' * (sys.get_int_max_str_digits() + 1)}*a\n"
+            "a\n"
+        )
+        proc = run_cli("repl", stdin=script)
+        assert proc.returncode == 0
+        assert proc.stdout == "+1a\n"
+        assert proc.stderr.splitlines() == [
+            "line 2: cannot print the result: a coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits",
+            f"line 3: col 1: number longer than {sys.get_int_max_str_digits()} digits",
+        ]
 
     def test_reseed_command(self):
         script = ":seed 4\nraaa()\n"

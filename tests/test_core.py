@@ -73,6 +73,23 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             as_coeff("3/0")
 
+    def test_subclasses_become_plain_types(self):
+        class Loud(int):
+            def __str__(self):
+                return "loud"
+
+        class LoudFraction(Fraction):
+            def __str__(self):
+                return "loud"
+
+        assert type(as_coeff(Loud(3))) is int
+        assert type(as_coeff(LoudFraction(3, 2))) is Fraction
+        assert type(as_coeff(LoudFraction(4, 2))) is int
+        e = AaaElement({("a",): Loud(3)}, {("a", "b"): LoudFraction(3, 2)}, {})
+        assert type(e.singles[("a",)]) is int
+        assert type(e.doubles[("a", "b")]) is Fraction
+        assert serialize(e) == "+3a +3/2a.b"
+
 
 class TestConstruction:
     def test_zero_has_no_terms(self):

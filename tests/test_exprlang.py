@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,7 @@ class TestTokenize:
         tokens = tokenize("3/2*a")
         assert [t.kind for t in tokens] == ["number", "*", "name", "end"]
         assert tokens[0].value == Fraction(3, 2)
+        assert type(tokenize("4/2")[0].value) is int
 
     def test_positions_are_one_based(self):
         tokens = tokenize("a + b")
@@ -80,6 +82,17 @@ class TestTokenize:
     def test_zero_denominator_literal(self):
         with pytest.raises(LexError):
             tokenize("1/0")
+
+    def test_number_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+        long = "9" * (limit + 1)
+        for src, pos in ((long, 1), (f"1/{long}", 1), (f"a + {long}*b", 5)):
+            with pytest.raises(LexError) as err:
+                tokenize(src)
+            assert err.value.pos == pos
+            assert f"longer than {limit} digits" in err.value.message
 
 
 class TestParse:
@@ -189,8 +202,11 @@ class TestBuiltins:
 
     def test_set_nonzero_scalar_rejected(self):
         env = env_with(a=parse(SPLIT_TEXT))
-        with pytest.raises(EvalError):
-            eval_one("set_single(a, 5)", env)
+        for src in ("  set_single(a, 5)", "  set_double(a, 1/2)", "  set_triple(a, -1)"):
+            with pytest.raises(EvalError) as err:
+                eval_one(src, env)
+            assert err.value.message == "replacement must be an element or the literal 0"
+            assert err.value.pos == 3
 
     def test_extract_keyword_args(self):
         env = env_with(a=parse(KEYED_EXTRACT_SRC))

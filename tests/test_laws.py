@@ -230,3 +230,27 @@ def test_integral_results_are_ints():
     for r, key in cases:
         _assert_clean(r)
         assert type(r.terms()[0][1]) is int and r.terms()[0][0] == key
+
+
+def _render_term_by_term(e):
+    """Reference rendering: each term's sign, then ``n`` or ``n/d``, then its key."""
+    out = []
+    for key, coeff in e.terms():
+        sign = "-" if coeff < 0 else "+"
+        mag = abs(coeff)
+        num, den = mag.numerator, mag.denominator
+        magnitude = str(num) if den == 1 else f"{num}/{den}"
+        if len(key) == 1:
+            rendered_key = key[0]
+        elif len(key) == 2:
+            rendered_key = f"{key[0]}.{key[1]}"
+        else:
+            rendered_key = f"({key[0]}.{key[1]}){key[2]}"
+        out.append(f"{sign}{magnitude}{rendered_key}")
+    return " ".join(out) if out else "0"
+
+
+@given(mixed_elements, coeffs, st.fractions())
+def test_serialize_matches_term_by_term_rendering(e, c, big):
+    for x in (e, scalar_mul(c, e), scalar_mul(big, e)):
+        assert serialize(x) == _render_term_by_term(x)

@@ -1,6 +1,7 @@
 import pytest
 
 from antiassoc import EmptyAlphabetError, serialize, zero
+from antiassoc.checks import random_rational_element
 from antiassoc.rng import SplitMix64, Xoshiro256StarStar, raaa
 
 # Published reference outputs for SplitMix64 with seed 1234567.
@@ -38,6 +39,24 @@ RAAA_0_TEXT = (
     "+3(a.c)b +2(b.c)d +2(b.d)d +4(d.a)b +4(d.d)b"
 )
 
+# serialize(random_rational_element(seed)), recorded before the draw moved
+# into checks._scalar; the draws and their order must not change.
+RATIONAL_ELEMENT_TEXT = {
+    0: "+7/5c.b +2/9foo.foo -1(c.b)d +3/8(d.foo)x1 -3/8(foo.c)c +8/5(foo.foo)foo",
+    1: (
+        "-2/9foo +7/6x1 -7/8b.foo +1/2d.b +9/5d.x1 -5/8x1.x1 "
+        "-3(a.x1)a -5/6(c.b)c +4/3(d.a)b +2/3(foo.a)foo"
+    ),
+    2: "+2foo.b +1/2(a.foo)foo -4(foo.b)b",
+    3: (
+        "-5/3c -2foo +1/3b.x1 -9/5d.foo "
+        "-7/8(a.d)b -1/2(d.foo)foo -1/7(foo.c)b +1/4(x1.a)x1"
+    ),
+    7: "+3/4c +7/8foo -6x1 +4/7a.x1",
+    42: "+1/3a -1/5foo +9/5foo.foo -7/5foo.x1 -4/5(a.d)foo",
+    2**64 - 1: "+5/9a +4/3x1 +1/6a.b -4/3a.c +1d.d -7/6d.foo",
+}
+
 
 class TestGenerators:
     def test_splitmix_reference_sequence(self):
@@ -70,6 +89,10 @@ class TestRaaa:
 
     def test_golden_element(self):
         assert serialize(raaa(0)) == RAAA_0_TEXT
+
+    def test_golden_rational_elements(self):
+        for seed, text in RATIONAL_ELEMENT_TEXT.items():
+            assert serialize(random_rational_element(seed)) == text
 
     def test_zero_counts_give_zero(self):
         assert raaa(99, n1=0, n2=0, n3=0) == zero()

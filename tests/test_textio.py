@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from antiassoc import ParseError, make_element, parse, serialize, zero
+from antiassoc import ParseError, make_element, parse, scalar_mul, serialize, zero
 from antiassoc.rng import raaa
 from conftest import CANONICAL_FIXTURES, PRODUCT_TEXT, X_PLUS_X1_TEXT
 
@@ -27,6 +28,15 @@ class TestSerialize:
         )
         assert serialize(e) == "+1z +1a.a +1(a.a)a"
 
+    def test_coefficient_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+        with pytest.raises(ValueError):
+            serialize(scalar_mul(10**limit, parse("+1a")))
+        with pytest.raises(ValueError):
+            serialize(scalar_mul(Fraction(1, 10**limit), parse("+1a")))
+
     def test_equal_elements_serialize_identically(self):
         one = make_element(s1=["a", "b"], sc=[1, 2])
         other = make_element(s1=["b", "a"], sc=[2, 1])
@@ -50,6 +60,10 @@ class TestParse:
     def test_whitespace_between_terms_is_free(self):
         assert parse("-1a.b  +1a.b") == zero()
         assert parse(" +1a   +2b ") == parse("+1a +2b")
+
+    def test_unicode_whitespace_between_terms(self):
+        assert parse("\u2003+1a\x1c+2b\u3000\t-1c.d\x85") == parse("+1a +2b -1c.d")
+        assert parse("\x1c0\u2003") == zero()
 
     def test_rational(self):
         assert parse("+1/2a").singles == {("a",): Fraction(1, 2)}
@@ -88,6 +102,23 @@ class TestParseErrors:
             parse(text)
         assert err.value.column == column
         assert fragment in err.value.message
+
+    def test_number_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+        long = "9" * (limit + 1)
+        for text, column in (
+            (f"+{long}a", 2),
+            (f"+1/{long}a", 2),
+            (f"+1a -{long}b.c", 6),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.column == column
+            assert f"longer than {limit} digits" in err.value.message
+        at_limit = f"+{long[1:]}a -1/{long[1:]}b"
+        assert serialize(parse(at_limit)) == at_limit
 
     def test_missing_leading_sign(self):
         with pytest.raises(ParseError):
