@@ -1,4 +1,6 @@
-"""Statement language over algebra elements: lexer, parser, evaluator.
+"""Statement language over algebra elements: lexer, and a parser that
+compiles each statement to a closure.  A line is parsed in full before any
+of its statements runs.
 
 Statements (separated by ``;``):
 
@@ -37,7 +39,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from . import access
 from .core import (
@@ -157,93 +159,17 @@ def tokenize(src: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Syntax trees
+# Compilation.  An expression compiles to ``(pos, run)``: ``run(env)`` gives
+# its value, and errors about that value point at column ``pos``.  Closures
+# look up ``add``, ``mul``, ``access`` etc. as module globals when they run.
 
-@dataclass(frozen=True)
-class NumberLit:
-    value: Coefficient
-    pos: int = field(default=0, compare=False)
+class _Call(NamedTuple):
+    """A builtin call; the builtin evaluates its own arguments."""
 
-
-@dataclass(frozen=True)
-class Var:
     name: str
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class SymbolList:
-    """A keyword-argument value: literal symbol names, not expressions."""
-
-    names: tuple[str, ...]
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple["Expr", ...] = ()
-    kwargs: tuple[tuple[str, Union[SymbolList, NumberLit]], ...] = ()
-    pos: int = field(default=0, compare=False)
-
-
-Expr = Union[NumberLit, Var, Neg, Add, Sub, Mul, Call]
-
-
-@dataclass(frozen=True)
-class SymDecl:
-    names: tuple[str, ...]
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LetStmt:
-    name: str
-    expr: Expr
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: Expr
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class EqualityStmt:
-    left: Expr
-    right: Expr
-    pos: int = field(default=0, compare=False)
-
-
-Statement = Union[SymDecl, LetStmt, ExprStmt, EqualityStmt]
+    pos: int
+    args: tuple  # compiled positional arguments, (pos, run) each
+    kwargs: tuple  # (name, pos, value); value is a number or a tuple of symbol names
 
 
 class _Parser:
@@ -269,8 +195,8 @@ class _Parser:
             raise ExprSyntaxError(f"expected {wanted}, found {found}", tok.pos)
         return self.advance()
 
-    def parse_program(self) -> list[Statement]:
-        stmts: list[Statement] = []
+    def parse_program(self) -> list[Callable]:
+        stmts: list[Callable] = []
         while True:
             while self.peek().kind == ";":
                 self.advance()
@@ -285,7 +211,7 @@ class _Parser:
                     f"expected ';' or end of statement, found {tok.text!r}", tok.pos
                 )
 
-    def statement(self) -> Statement:
+    def statement(self) -> Callable:
         tok = self.peek()
         if tok.kind == "sym":
             self.advance()
@@ -296,54 +222,59 @@ class _Parser:
                 raise ExprSyntaxError(
                     "expected at least one symbol name after 'sym'", self.peek().pos
                 )
-            return SymDecl(tuple(names), tok.pos)
+            return lambda env: env.bindings.update({n: from_symbols([n]) for n in names})
         if tok.kind == "let":
             self.advance()
             name = self.expect("name", "a name to bind").text
             self.expect("=")
-            return LetStmt(name, self.expr(), tok.pos)
-        left = self.expr()
-        if self.peek().kind == "=":
-            eq = self.advance()
-            return EqualityStmt(left, self.expr(), eq.pos)
-        return ExprStmt(left, tok.pos)
+            value_of = _element(self.expr())
 
-    def expr(self) -> Expr:
+            def let(env):
+                env.bindings[name] = value_of(env)
+
+            return let
+        left = _element(self.expr())
+        if self.peek().kind == "=":
+            self.advance()
+            right = _element(self.expr())
+            return lambda env: left(env) == right(env)
+        return left
+
+    def expr(self) -> tuple[int, Callable]:
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            right = self.term()
-            cls = Add if op.kind == "+" else Sub
-            node = cls(node, right, op.pos)
+            node = op.pos, _linear(op.kind == "+", node, self.term())
         return node
 
-    def term(self) -> Expr:
+    def term(self) -> tuple[int, Callable]:
         node = self.unary()
         while self.peek().kind == "*":
             op = self.advance()
-            node = Mul(node, self.unary(), op.pos)
+            node = op.pos, _product(node, self.unary())
         return node
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[int, Callable]:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return Neg(self.unary(), tok.pos)
+            return tok.pos, _negation(self.unary()[1])
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[int, Callable]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return NumberLit(tok.value, tok.pos)
+            value = tok.value
+            return tok.pos, lambda env: value
         if tok.kind == "name":
             self.advance()
             if self.peek().kind == "(":
                 self.advance()
-                args, kwargs = self.call_args()
+                call = _Call(tok.text, tok.pos, *self.call_args())
                 self.expect(")")
-                return Call(tok.text, args, kwargs, tok.pos)
-            return Var(tok.text, tok.pos)
+                return tok.pos, lambda env: _call(call, env)
+            return tok.pos, _variable(tok.text, tok.pos)
         if tok.kind == "(":
             self.advance()
             node = self.expr()
@@ -352,16 +283,16 @@ class _Parser:
         found = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExprSyntaxError(f"expected an expression, found {found}", tok.pos)
 
-    def call_args(self):
-        args: list[Expr] = []
-        kwargs: list[tuple[str, Union[SymbolList, NumberLit]]] = []
+    def call_args(self) -> tuple[tuple, tuple]:
+        args: list[tuple[int, Callable]] = []
+        kwargs: list[tuple[str, int, object]] = []
         if self.peek().kind == ")":
             return tuple(args), tuple(kwargs)
         while True:
             if self.peek().kind == "name" and self.peek(1).kind == "=":
                 name = self.advance().text
                 self.advance()
-                kwargs.append((name, self.kwvalue()))
+                kwargs.append((name, *self.kwvalue()))
             else:
                 if kwargs:
                     raise ExprSyntaxError(
@@ -372,14 +303,14 @@ class _Parser:
                 return tuple(args), tuple(kwargs)
             self.advance()
 
-    def kwvalue(self) -> Union[SymbolList, NumberLit]:
+    def kwvalue(self) -> tuple[int, object]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return NumberLit(tok.value, tok.pos)
+            return tok.pos, tok.value
         if tok.kind == "name":
             self.advance()
-            return SymbolList((tok.text,), tok.pos)
+            return tok.pos, (tok.text,)
         if tok.kind == "(":
             self.advance()
             names = [self.expect("name", "a symbol name").text]
@@ -387,22 +318,87 @@ class _Parser:
                 self.advance()
                 names.append(self.expect("name", "a symbol name").text)
             self.expect(")")
-            return SymbolList(tuple(names), tok.pos)
+            return tok.pos, tuple(names)
         raise ExprSyntaxError(
             "expected a number, a symbol name or a parenthesized symbol list", tok.pos
         )
 
 
-def parse_expr(tokens: list[Token]) -> Expr:
-    """Parse a token list as a single expression; all tokens must be used."""
-    parser = _Parser(tokens)
-    node = parser.expr()
-    parser.expect("end", "end of input")
-    return node
+_NOT_ELEMENT = "a bare number cannot be used as an element (the algebra has no unit)"
+
+# The operator closures test each operand with isinstance inline, not through
+# _element: one more call per operand costs the REPL measurably.
+
+def _element(expr: tuple[int, Callable]) -> Callable:
+    """Compile an expression whose value must be an element."""
+    pos, value_of = expr
+
+    def run(env):
+        value = value_of(env)
+        if not isinstance(value, AaaElement):
+            raise ScalarOperandError(_NOT_ELEMENT, pos)
+        return value
+
+    return run
 
 
-def parse_program(src: str) -> list[Statement]:
-    """Tokenize and parse a sequence of ';'-separated statements."""
+def _variable(name: str, pos: int) -> Callable:
+    def run(env):
+        try:
+            return env.bindings[name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable '{name}'", pos) from None
+
+    return run
+
+
+def _negation(value_of: Callable) -> Callable:
+    def run(env):
+        value = value_of(env)
+        return neg(value) if isinstance(value, AaaElement) else -value
+
+    return run
+
+
+def _linear(plus: bool, left: tuple[int, Callable], right: tuple[int, Callable]) -> Callable:
+    (lpos, lrun), (rpos, rrun) = left, right
+
+    def run(env):
+        x = lrun(env)
+        if not isinstance(x, AaaElement):
+            raise ScalarOperandError(_NOT_ELEMENT, lpos)
+        y = rrun(env)
+        if not isinstance(y, AaaElement):
+            raise ScalarOperandError(_NOT_ELEMENT, rpos)
+        return add(x, y) if plus else sub(x, y)
+
+    return run
+
+
+def _product(left: tuple[int, Callable], right: tuple[int, Callable]) -> Callable:
+    """Element times element is ``mul``; a number as the left factor scales."""
+    lrun, (rpos, rrun) = left[1], right
+
+    def run(env):
+        x = lrun(env)
+        y = rrun(env)
+        if not isinstance(y, AaaElement):
+            raise ScalarOperandError("a number may only appear as the left factor of '*'", rpos)
+        if isinstance(x, AaaElement):
+            return mul(env.context, x, y)
+        return scalar_mul(x, y)
+
+    return run
+
+
+def parse_program(src: str) -> list[Callable]:
+    """Tokenize and compile a sequence of ';'-separated statements.
+
+    Returns one function per statement: ``run(env)`` executes it in an
+    :class:`Env` and returns None for ``sym`` and ``let``, an element for
+    an expression and a bool for an equality.  Only syntax errors are
+    raised here; evaluation errors are raised when a statement runs.
+    """
     return _Parser(tokenize(src)).parse_program()
 
 
@@ -429,192 +425,105 @@ class Env:
         return self._seed_stream.next_u64()
 
 
-Value = Union[AaaElement, Coefficient]
-
-
-def _is_scalar(value: Value) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
-def _require_element(value: Value, pos: int) -> AaaElement:
-    if _is_scalar(value):
-        raise ScalarOperandError(
-            "a bare number cannot be used as an element (the algebra has no unit)",
-            pos,
-        )
-    return value
-
-
-def eval_expr(node: Expr, env: Env) -> Value:
-    """Evaluate an expression to an element, or to an exact scalar.
-
-    Scalars may only be consumed as the left factor of ``*`` or by a
-    builtin that takes a number; anywhere else they raise
-    :class:`ScalarOperandError`.
-    """
-    if isinstance(node, NumberLit):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env.bindings[node.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable '{node.name}'", node.pos) from None
-    if isinstance(node, Neg):
-        value = eval_expr(node.operand, env)
-        return -value if _is_scalar(value) else neg(value)
-    if isinstance(node, Add):
-        left = _require_element(eval_expr(node.left, env), node.left.pos)
-        right = _require_element(eval_expr(node.right, env), node.right.pos)
-        return add(left, right)
-    if isinstance(node, Sub):
-        left = _require_element(eval_expr(node.left, env), node.left.pos)
-        right = _require_element(eval_expr(node.right, env), node.right.pos)
-        return sub(left, right)
-    if isinstance(node, Mul):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if _is_scalar(right):
-            raise ScalarOperandError(
-                "a number may only appear as the left factor of '*'", node.right.pos
-            )
-        if _is_scalar(left):
-            return scalar_mul(left, right)
-        return mul(env.context, left, right)
-    if isinstance(node, Call):
-        return _eval_call(node, env)
-    raise EvalError(f"cannot evaluate node {node!r}", getattr(node, "pos", 0))
-
-
-def _arity(node: Call, count: int) -> None:
-    if len(node.args) != count:
+def _arity(call: _Call, count: int) -> None:
+    if len(call.args) != count:
         raise EvalError(
-            f"{node.func}() takes {count} positional argument(s), got {len(node.args)}",
-            node.pos,
+            f"{call.name}() takes {count} positional argument(s), got {len(call.args)}",
+            call.pos,
         )
 
 
-def _element_arg(node: Call, env: Env, index: int) -> AaaElement:
-    arg = node.args[index]
-    return _require_element(eval_expr(arg, env), arg.pos)
-
-
-def _eval_degree(node: Call, env: Env, fn, arity: int) -> AaaElement:
-    _arity(node, arity)
-    if node.kwargs:
-        name = node.kwargs[0][0]
-        raise EvalError(f"{node.func}() takes no keyword arguments ('{name}')", node.pos)
-    target = _element_arg(node, env, 0)
-    return fn(target, *(eval_expr(arg, env) for arg in node.args[1:]))
+def _eval_degree(call: _Call, env: Env, fn, arity: int) -> AaaElement:
+    _arity(call, arity)
+    if call.kwargs:
+        name = call.kwargs[0][0]
+        raise EvalError(f"{call.name}() takes no keyword arguments ('{name}')", call.pos)
+    return fn(_element(call.args[0])(env), *(value_of(env) for _, value_of in call.args[1:]))
 
 
 _SELECTOR_GROUPS = ("s1", "d1", "d2", "t1", "t2", "t3")
 
 
-def _selector(node: Call) -> access.KeySelector:
+def _selector(call: _Call) -> access.KeySelector:
     groups: dict[str, tuple[str, ...]] = {}
-    for name, value in node.kwargs:
+    for name, pos, value in call.kwargs:
         if name not in _SELECTOR_GROUPS:
-            raise EvalError(f"{node.func}() has no keyword argument '{name}'", node.pos)
+            raise EvalError(f"{call.name}() has no keyword argument '{name}'", call.pos)
         if name in groups:
-            raise EvalError(f"duplicate keyword argument '{name}'", node.pos)
-        if not isinstance(value, SymbolList):
-            raise EvalError(
-                f"'{name}' takes symbol names, not a number", value.pos
-            )
-        groups[name] = value.names
+            raise EvalError(f"duplicate keyword argument '{name}'", call.pos)
+        if not isinstance(value, tuple):
+            raise EvalError(f"'{name}' takes symbol names, not a number", pos)
+        groups[name] = value
     return access.KeySelector(**groups)
 
 
-def _eval_extract(node: Call, env: Env) -> AaaElement:
-    _arity(node, 1)
-    return access.extract(_element_arg(node, env, 0), _selector(node))
+def _eval_extract(call: _Call, env: Env) -> AaaElement:
+    _arity(call, 1)
+    return access.extract(_element(call.args[0])(env), _selector(call))
 
 
-def _eval_replace(node: Call, env: Env) -> AaaElement:
-    _arity(node, 2)
-    value = eval_expr(node.args[1], env)
-    if not _is_scalar(value):
-        raise EvalError("replace() value must be a number", node.args[1].pos)
-    return access.replace(_element_arg(node, env, 0), _selector(node), value)
+def _eval_replace(call: _Call, env: Env) -> AaaElement:
+    _arity(call, 2)
+    _, value_of = call.args[1]
+    value = value_of(env)  # the value runs before the element it goes into
+    return access.replace(_element(call.args[0])(env), _selector(call), value)
 
 
-def _int_kwarg(name: str, value) -> int:
-    if not isinstance(value, NumberLit) or not isinstance(value.value, int) or value.value < 0:
-        raise EvalError(f"'{name}' must be an integer >= 0", value.pos)
-    return value.value
-
-
-def _eval_raaa(node: Call, env: Env) -> AaaElement:
-    if len(node.args) > 1:
-        raise EvalError("raaa() takes at most one positional argument (the seed)", node.pos)
-    if node.args:
-        seed_value = eval_expr(node.args[0], env)
-        if not isinstance(seed_value, int):
-            raise EvalError("raaa() seed must be an integer", node.args[0].pos)
-        seed = seed_value
+def _eval_raaa(call: _Call, env: Env) -> AaaElement:
+    if len(call.args) > 1:
+        raise EvalError("raaa() takes at most one positional argument (the seed)", call.pos)
+    if call.args:
+        pos, value_of = call.args[0]
+        seed = value_of(env)
+        if not isinstance(seed, int):
+            raise EvalError("raaa() seed must be an integer", pos)
     else:
         seed = env.next_seed()
     opts: dict = {}
-    for name, value in node.kwargs:
+    for name, pos, value in call.kwargs:
         if name == "alphabet":
-            if not isinstance(value, SymbolList):
-                raise EvalError("'alphabet' takes symbol names", value.pos)
-            opts["alphabet"] = value.names
+            if not isinstance(value, tuple):
+                raise EvalError("'alphabet' takes symbol names", pos)
         elif name in ("n1", "n2", "n3"):
-            opts[name] = _int_kwarg(name, value)
+            if not isinstance(value, int):  # a literal, so never negative
+                raise EvalError(f"'{name}' must be an integer >= 0", pos)
         else:
-            raise EvalError(f"raaa() has no keyword argument '{name}'", node.pos)
+            raise EvalError(f"raaa() has no keyword argument '{name}'", call.pos)
+        opts[name] = value
     return raaa(seed, **opts)
 
 
 _BUILTINS = {
-    "single": lambda node, env: _eval_degree(node, env, access.single, 1),
-    "double": lambda node, env: _eval_degree(node, env, access.double, 1),
-    "triple": lambda node, env: _eval_degree(node, env, access.triple, 1),
-    "set_single": lambda node, env: _eval_degree(node, env, access.set_single, 2),
-    "set_double": lambda node, env: _eval_degree(node, env, access.set_double, 2),
-    "set_triple": lambda node, env: _eval_degree(node, env, access.set_triple, 2),
+    "single": lambda call, env: _eval_degree(call, env, access.single, 1),
+    "double": lambda call, env: _eval_degree(call, env, access.double, 1),
+    "triple": lambda call, env: _eval_degree(call, env, access.triple, 1),
+    "set_single": lambda call, env: _eval_degree(call, env, access.set_single, 2),
+    "set_double": lambda call, env: _eval_degree(call, env, access.set_double, 2),
+    "set_triple": lambda call, env: _eval_degree(call, env, access.set_triple, 2),
     "extract": _eval_extract,
     "replace": _eval_replace,
     "raaa": _eval_raaa,
 }
 
 
-def _eval_call(node: Call, env: Env) -> AaaElement:
-    handler = _BUILTINS.get(node.func)
+def _call(call: _Call, env: Env) -> AaaElement:
+    """Run a builtin; unknown names, arity and kwargs are run-time errors."""
+    handler = _BUILTINS.get(call.name)
     if handler is None:
-        raise EvalError(f"unknown function '{node.func}'", node.pos)
+        raise EvalError(f"unknown function '{call.name}'", call.pos)
     try:
-        return handler(node, env)
+        return handler(call, env)
     except ExprError:
         raise
     except (AlgebraError, TypeError, ValueError) as exc:
-        raise EvalError(str(exc), node.pos) from exc
-
-
-def exec_statement(stmt: Statement, env: Env):
-    """Execute one statement.
-
-    Returns None for bindings, an element for expression statements and
-    a bool for equality queries.
-    """
-    if isinstance(stmt, SymDecl):
-        for name in stmt.names:
-            env.bindings[name] = from_symbols([name])
-        return None
-    if isinstance(stmt, LetStmt):
-        value = eval_expr(stmt.expr, env)
-        env.bindings[stmt.name] = _require_element(value, stmt.expr.pos)
-        return None
-    if isinstance(stmt, ExprStmt):
-        return _require_element(eval_expr(stmt.expr, env), stmt.expr.pos)
-    if isinstance(stmt, EqualityStmt):
-        left = _require_element(eval_expr(stmt.left, env), stmt.left.pos)
-        right = _require_element(eval_expr(stmt.right, env), stmt.right.pos)
-        return left == right
-    raise EvalError(f"cannot execute statement {stmt!r}", getattr(stmt, "pos", 0))
+        raise EvalError(str(exc), call.pos) from exc
 
 
 def run_program(src: str, env: Env) -> list:
-    """Parse and execute ``src``; one result per statement, in order."""
-    return [exec_statement(stmt, env) for stmt in parse_program(src)]
+    """Compile all of ``src``, then run its statements in order.
+
+    Returns one result per statement (see :func:`parse_program`).  A
+    syntax error anywhere in ``src`` runs none of it; an evaluation error
+    stops the run, and the bindings made before it stay in ``env``.
+    """
+    return [run(env) for run in parse_program(src)]

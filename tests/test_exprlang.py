@@ -5,6 +5,7 @@ import pytest
 
 from antiassoc import (
     AlgebraContext,
+    ExprError,
     Env,
     EvalError,
     ExprSyntaxError,
@@ -15,19 +16,9 @@ from antiassoc import (
     raaa,
     serialize,
 )
-from antiassoc.exprlang import (
-    Add,
-    Call,
-    Mul,
-    Neg,
-    NumberLit,
-    SymbolList,
-    Var,
-    parse_expr,
-    parse_program,
-    run_program,
-    tokenize,
-)
+from antiassoc import access, exprlang
+from antiassoc.exprlang import parse_program, run_program, tokenize
+from antiassoc.rng import SplitMix64
 from conftest import (
     KEYED_EXTRACT_OUT,
     KEYED_EXTRACT_SRC,
@@ -97,34 +88,42 @@ class TestTokenize:
 
 class TestParse:
     def test_star_is_left_associative(self):
-        tokens = tokenize("a*b*c")
-        expected = Mul(Mul(Var("a"), Var("b")), Var("c"))
-        assert parse_expr(tokens) == expected
+        assert serialize(eval_one("sym a b c; a*b*c")) == "+1(a.b)c"
 
     def test_explicit_grouping(self):
-        assert parse_expr(tokenize("a*(b*c)")) == Mul(Var("a"), Mul(Var("b"), Var("c")))
+        assert eval_one("sym a b c; (a+b)*c = a*c + b*c") is True
+        assert eval_one("sym a b c; (a+b)*c = a + b*c") is False
 
     def test_star_binds_tighter_than_plus(self):
-        assert parse_expr(tokenize("a+b*c")) == Add(Var("a"), Mul(Var("b"), Var("c")))
+        assert eval_one("sym a b c; a+b*c = a+(b*c)") is True
+        assert eval_one("sym a b c; a+b*c = (a+b)*c") is False
 
-    def test_unary_minus_binds_tighter_than_star(self):
-        assert parse_expr(tokenize("-2*a")) == Mul(Neg(NumberLit(2)), Var("a"))
+    def test_unary_minus_binds_tighter_than_star(self, monkeypatch):
+        # neg is linear, so the value cannot tell -(2*a) from (-2)*a; the calls can.
+        calls = []
+        scalar_mul, neg = exprlang.scalar_mul, exprlang.neg
+        monkeypatch.setattr(
+            exprlang, "scalar_mul", lambda c, e: calls.append(c) or scalar_mul(c, e)
+        )
+        monkeypatch.setattr(exprlang, "neg", lambda e: calls.append("neg") or neg(e))
+        assert serialize(eval_one("sym a; -2*a")) == "-2a"
+        assert calls == [-2]
 
     def test_redundant_parens_normalize_away(self):
-        assert parse_expr(tokenize("x*x*x")) == parse_expr(tokenize("(x*x)*x"))
+        assert eval_one("sym x; ((x*x))*x = x*x*x") is True
+        assert eval_one("sym x; (((x))) = x") is True
 
     def test_call_with_kwargs(self):
-        node = parse_expr(tokenize("extract(a, s1=(c,e), t1=c)"))
-        assert node == Call(
-            "extract",
-            (Var("a"),),
-            (("s1", SymbolList(("c", "e"))), ("t1", SymbolList(("c",)))),
-        )
+        env = env_with(a=parse(KEYED_EXTRACT_SRC))
+        out = eval_one("replace(a, 3/2, s1=(c,e), d1=c, d2=d)", env)
+        selector = access.KeySelector(s1=("c", "e"), d1=("c",), d2=("d",))
+        assert out == access.replace(env.bindings["a"], selector, Fraction(3, 2))
 
     def test_statement_forms(self):
-        stmts = parse_program("sym a b; let v = a*b; v; v = v")
-        kinds = [type(s).__name__ for s in stmts]
-        assert kinds == ["SymDecl", "LetStmt", "ExprStmt", "EqualityStmt"]
+        results = run_program("sym a b; let v = a*b; v; v = v", Env())
+        assert results[:2] == [None, None]
+        assert serialize(results[2]) == "+1a.b"
+        assert results[3] is True
 
     def test_trailing_semicolons_ignored(self):
         assert len(parse_program(";;sym a;;")) == 1
@@ -254,3 +253,106 @@ class TestBuiltins:
         with pytest.raises(UnboundVariableError) as err:
             eval_one("sym a; a + missing")
         assert err.value.pos == 12
+
+
+NOT_ELEMENT = "a bare number cannot be used as an element (the algebra has no unit)"
+LEFT_FACTOR = "a number may only appear as the left factor of '*'"
+
+
+class TestErrors:
+    # One row per place the evaluator raises: (source, class, message, column).
+    @pytest.mark.parametrize(
+        "src, cls, message, pos",
+        [
+            ("sym a; a + missing", UnboundVariableError, "unbound variable 'missing'", 12),
+            ("sym a; 2+a", ScalarOperandError, NOT_ELEMENT, 8),
+            ("sym a; a+2", ScalarOperandError, NOT_ELEMENT, 10),
+            ("sym a; 2-a", ScalarOperandError, NOT_ELEMENT, 8),
+            ("sym a; a - 1", ScalarOperandError, NOT_ELEMENT, 12),
+            ("let v = 2", ScalarOperandError, NOT_ELEMENT, 9),
+            ("2", ScalarOperandError, NOT_ELEMENT, 1),
+            ("  -3/2", ScalarOperandError, NOT_ELEMENT, 3),
+            ("sym a; 2 = a", ScalarOperandError, NOT_ELEMENT, 8),
+            ("sym a; a = (2)", ScalarOperandError, NOT_ELEMENT, 13),
+            ("single(2)", ScalarOperandError, NOT_ELEMENT, 8),
+            ("sym a; extract(3, s1=a)", ScalarOperandError, NOT_ELEMENT, 16),
+            ("sym a; a*2", ScalarOperandError, LEFT_FACTOR, 10),
+            ("2*3", ScalarOperandError, LEFT_FACTOR, 3),
+            ("sym a; -a*-2", ScalarOperandError, LEFT_FACTOR, 11),
+            ("sym a; single(a, a)", EvalError, "single() takes 1 positional argument(s), got 2", 8),
+            ("sym a; set_double(a)", EvalError,
+             "set_double() takes 2 positional argument(s), got 1", 8),
+            ("sym a; extract()", EvalError, "extract() takes 1 positional argument(s), got 0", 8),
+            ("sym a; replace(a)", EvalError, "replace() takes 2 positional argument(s), got 1", 8),
+            ("raaa(1, 2)", EvalError, "raaa() takes at most one positional argument (the seed)", 1),
+            ("sym a; triple(a, t1=a)", EvalError, "triple() takes no keyword arguments ('t1')", 8),
+            ("sym a; foo(a)", EvalError, "unknown function 'foo'", 8),
+            ("sym a; extract(a, q9=a)", EvalError, "extract() has no keyword argument 'q9'", 8),
+            ("raaa(s1=a)", EvalError, "raaa() has no keyword argument 's1'", 1),
+            ("sym a; replace(a, 1, s1=a, s1=b)", EvalError, "duplicate keyword argument 's1'", 8),
+            ("sym a; extract(a, s1=2)", EvalError, "'s1' takes symbol names, not a number", 22),
+            ("raaa(alphabet=3)", EvalError, "'alphabet' takes symbol names", 15),
+            ("raaa(n1=3/2)", EvalError, "'n1' must be an integer >= 0", 9),
+            ("raaa(n1=-1)", ExprSyntaxError,
+             "expected a number, a symbol name or a parenthesized symbol list", 9),
+            ("raaa(1/2)", EvalError, "raaa() seed must be an integer", 6),
+            ("sym a; raaa(a)", EvalError, "raaa() seed must be an integer", 13),
+            ("sym a; set_single(a, 5)", EvalError,
+             "replacement must be an element or the literal 0", 8),
+        ],
+    )
+    def test_error_table(self, src, cls, message, pos):
+        with pytest.raises(ExprError) as err:
+            run_program(src, Env())
+        assert (type(err.value), err.value.message, err.value.pos) == (cls, message, pos)
+
+    def test_replace_value_must_be_a_number(self):
+        env = Env(seed=5)
+        with pytest.raises(EvalError) as err:
+            run_program("sym a; replace(raaa(), raaa(), s1=a)", env)
+        assert err.value.message == (
+            "coefficients must be exact rationals (int, Fraction or 'n/d' text), not AaaElement"
+        )
+        assert err.value.pos == 8
+        # both arguments ran before access rejected the value
+        stream = SplitMix64(5)
+        stream.next_u64(), stream.next_u64()
+        assert env.next_seed() == stream.next_u64()
+
+    def test_replace_runs_the_value_first(self):
+        with pytest.raises(UnboundVariableError) as err:
+            eval_one("replace(p, q, s1=a)")
+        assert err.value.message == "unbound variable 'q'"
+
+
+class TestPartialRun:
+    def test_syntax_error_runs_nothing(self):
+        env = Env()
+        run_program("sym a", env)
+        with pytest.raises(ExprSyntaxError):
+            run_program("let v = a; )", env)
+        assert "v" not in env.bindings
+
+    def test_eval_error_keeps_earlier_bindings(self):
+        env = Env()
+        with pytest.raises(EvalError):
+            run_program("sym a; let v = a; foo(a)", env)
+        assert env.bindings == {"a": parse("+1a"), "v": parse("+1a")}
+
+    @pytest.mark.parametrize(
+        "src, error, ran",
+        [
+            ("raaa(); raaa(); foo(raaa())", EvalError, 2),
+            ("raaa(); )", ExprSyntaxError, 0),
+            ("raaa() + 2; raaa()", ScalarOperandError, 1),
+            ("nope + raaa()", UnboundVariableError, 0),
+        ],
+    )
+    def test_only_raaa_calls_that_ran_advance_the_seed_stream(self, src, error, ran):
+        env = Env(seed=9)
+        with pytest.raises(error):
+            run_program(src, env)
+        stream = SplitMix64(9)
+        for _ in range(ran):
+            stream.next_u64()
+        assert env.next_seed() == stream.next_u64()
