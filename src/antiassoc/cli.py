@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .checks import run_suite
 from .core import AlgebraContext, AlgebraError
 from .exprlang import Env, ExprError, run_program
 from .textio import ParseError, parse, serialize
@@ -225,6 +224,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(parser: _ArgumentParser, args) -> int:
+    from .checks import run_suite  # here, so that the other commands start without it
     if args.trials < 0:
         parser.error("--trials must be >= 0")
     k = _resolve_k(parser, args.k)

@@ -274,11 +274,14 @@ def make_element(
 
 
 def _build(pairs: Iterable[tuple[TermKey, Coefficient]]) -> AaaElement:
-    """Sum checked ``(key, coefficient)`` pairs into an element."""
+    """Sum checked ``(key, coefficient)`` pairs into an element.
+
+    A key's first coefficient is stored as is, not as ``0 + coefficient``.
+    """
     maps: tuple[dict, dict, dict] = ({}, {}, {})
     for key, coeff in pairs:
         m = maps[len(key) - 1]
-        total = m.get(key, 0) + coeff
+        total = m[key] + coeff if key in m else coeff
         if total:
             m[key] = total
         else:

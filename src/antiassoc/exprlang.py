@@ -477,8 +477,6 @@ def _eval_raaa(call: _Call, env: Env) -> AaaElement:
         seed = value_of(env)
         if not isinstance(seed, int):
             raise EvalError("raaa() seed must be an integer", pos)
-    else:
-        seed = env.next_seed()
     opts: dict = {}
     for name, pos, value in call.kwargs:
         if name == "alphabet":
@@ -490,6 +488,8 @@ def _eval_raaa(call: _Call, env: Env) -> AaaElement:
         else:
             raise EvalError(f"raaa() has no keyword argument '{name}'", call.pos)
         opts[name] = value
+    if not call.args:
+        seed = env.next_seed()  # only now, so that a failed call takes no seed
     return raaa(seed, **opts)
 
 

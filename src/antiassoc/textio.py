@@ -19,10 +19,12 @@ prints as ``0``.
 
 ``sym`` is :data:`antiassoc.core.SYMBOL_RE`, the one rule that
 :func:`~antiassoc.core.check_symbol` enforces.  Whitespace between terms
-is arbitrary on input.  Duplicate keys accumulate and zero-coefficient
-terms are dropped, so parsing is total on the grammar, up to the
-interpreter's limit on the digits of one number, and
-``parse(serialize(e)) == e`` for every element that serializes.
+is arbitrary on input.  One compiled pattern matches each whole term; only
+when a match fails does a diagnosis walk the failing term to raise the
+error at its column.  Duplicate keys accumulate and zero-coefficient terms
+are dropped, so parsing is total on the grammar, up to the interpreter's
+limit on the digits of one number, and ``parse(serialize(e)) == e`` for
+every element that serializes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import NoReturn
 
 from .core import SYMBOL_RE, AaaElement, AlgebraError, Coefficient, TermKey, _build, zero
 
@@ -61,33 +63,17 @@ def serialize(element: AaaElement) -> str:
     return " ".join(terms) or "0"
 
 
-_DIGITS_RE = re.compile(r"[0-9]+")
+_S = SYMBOL_RE.pattern
+_TERM_RE = re.compile(
+    rf"([+-])([0-9]+)(?:/([0-9]+))?(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*"
+)
+# The same grammar with every piece allowed to match empty: it always matches, and the
+# first required piece that came out empty (groups 1-3, then the key's 5-10) is the error.
+_DIAGNOSIS_RE = re.compile(
+    rf"([+-]?)([0-9]*)(?:/([0-9]*))?(\()?({_S}|)(?(4)(\.?)({_S}|)(\)?)({_S}|)|(?:\.({_S}|))?)"
+)
+_KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}
 _WS_RE = re.compile(r"\s*")
-
-
-def _parse_symbol(text: str, i: int) -> tuple[str, int]:
-    m = SYMBOL_RE.match(text, i)
-    if not m:
-        raise ParseError("expected symbol", i + 1)
-    return m.group(), m.end()
-
-
-def _parse_key(text: str, i: int) -> tuple[TermKey, int]:
-    if i < len(text) and text[i] == "(":
-        open_col = i + 1
-        first, i = _parse_symbol(text, i + 1)
-        if i >= len(text) or text[i] != ".":
-            raise ParseError("expected '.' inside '(...)'", i + 1)
-        second, i = _parse_symbol(text, i + 1)
-        if i >= len(text) or text[i] != ")":
-            raise ParseError("unclosed '('", open_col)
-        third, i = _parse_symbol(text, i + 1)
-        return (first, second, third), i
-    first, i = _parse_symbol(text, i)
-    if i < len(text) and text[i] == ".":
-        second, i = _parse_symbol(text, i + 1)
-        return (first, second), i
-    return (first,), i
 
 
 def parse(text: str) -> AaaElement:
@@ -105,36 +91,46 @@ def parse(text: str) -> AaaElement:
         if j < len(text):
             raise ParseError("unexpected text after zero element", j + 1)
         return zero()
-    return _build(_terms(text, i))
-
-
-def _terms(text: str, i: int) -> Iterator[tuple[TermKey, Coefficient]]:
+    pairs: list[tuple[TermKey, Coefficient]] = []
+    last = i
     while i < len(text):
-        ch = text[i]
-        if ch not in "+-":
-            raise ParseError(f"expected '+' or '-', found {ch!r}", i + 1)
-        sign = -1 if ch == "-" else 1
-        i += 1
-        start = i
+        m = _TERM_RE.match(text, i)
+        if m is None:
+            _diagnose(text, last)
+        sign, num, den, t1, t2, t3, s1, s2 = m.groups()
         try:
-            m = _DIGITS_RE.match(text, i)
-            if not m:
-                raise ParseError("expected digits after sign", i + 1)
-            num = int(m.group())
-            i = m.end()
-            den = 1
-            if i < len(text) and text[i] == "/":
-                m = _DIGITS_RE.match(text, i + 1)
-                if not m:
-                    raise ParseError("expected digits after '/'", i + 2)
-                den = int(m.group())
-                if den == 0:
-                    raise ParseError("zero denominator", i + 2)
-                i = m.end()
+            coeff = int(sign + num) if den is None else Fraction(int(sign + num), int(den))
+        except (ValueError, ZeroDivisionError):  # over the digit limit, or "/0"
+            _diagnose(text, i)
+        pairs.append(((t1, t2, t3) if t1 else (s1, s2) if s2 else (s1,), coeff))
+        last, i = i, m.end()
+    return _build(pairs)
+
+
+def _diagnose(text: str, i: int) -> NoReturn:
+    """Raise the error of the first term at or after ``i`` that breaks the grammar.
+
+    A match can stop short of a '.', as in ``+1a.``, so the caller passes the
+    start of the last term it matched, not the place where matching failed.
+    """
+    while True:
+        m = _DIAGNOSIS_RE.match(text, i)
+        sign, num, den = m.group(1, 2, 3)
+        if not sign:
+            raise ParseError(f"expected '+' or '-', found {text[i]!r}", i + 1)
+        if not num:
+            raise ParseError("expected digits after sign", i + 2)
+        try:
+            int(num)
+            if den == "":
+                raise ParseError("expected digits after '/'", m.start(3) + 1)
+            if den and not int(den):
+                raise ParseError("zero denominator", m.start(3) + 1)
         except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()
-            raise ParseError(f"number longer than {limit} digits", start + 1) from None
-        coeff: Coefficient = sign * num if den == 1 else Fraction(sign * num, den)
-        key, i = _parse_key(text, i)
-        yield key, coeff
-        i = _WS_RE.match(text, i).end()
+            raise ParseError(f"number longer than {limit} digits", i + 2) from None
+        for g in range(5, 11):
+            if m[g] == "":  # an unclosed '(' is reported at the '('
+                column = m.start(4 if g == 8 else g) + 1
+                raise ParseError(_KEY_ERRORS.get(g, "expected symbol"), column)
+        i = _WS_RE.match(text, m.end()).end()

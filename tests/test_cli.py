@@ -203,6 +203,14 @@ class TestCheckCommand:
         proc = run_cli("check", "--trials", "1", "--seed", "9")
         assert proc.stdout.startswith("seed: 9\n")
 
+    def test_other_commands_start_without_the_suite(self):
+        probe = (
+            "import sys, antiassoc.cli; "
+            "print(sorted({'antiassoc.checks', 'antiassoc._oracle'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.stdout == "[]\n", proc.stderr
+
 
 class TestRepl:
     def test_piped_session(self):

@@ -339,6 +339,13 @@ class TestPartialRun:
             run_program("sym a; let v = a; foo(a)", env)
         assert env.bindings == {"a": parse("+1a"), "v": parse("+1a")}
 
+    @pytest.mark.parametrize("src", ["raaa(n1=3/2)", "raaa(alphabet=3)", "raaa(s1=a)"])
+    def test_failed_raaa_takes_no_seed(self, src):
+        env = Env(seed=5)
+        with pytest.raises(EvalError):
+            run_program(src, env)
+        assert eval_one("raaa()", env) == eval_one("raaa()", Env(seed=5))
+
     @pytest.mark.parametrize(
         "src, error, ran",
         [

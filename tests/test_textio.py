@@ -1,9 +1,13 @@
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antiassoc import ParseError, make_element, parse, scalar_mul, serialize, zero
+from antiassoc import AaaElement, ParseError, make_element, parse, scalar_mul, serialize, zero
+from antiassoc.core import SYMBOL_RE, _build
 from antiassoc.rng import raaa
 from conftest import CANONICAL_FIXTURES, PRODUCT_TEXT, X_PLUS_X1_TEXT
 
@@ -123,3 +127,150 @@ class TestParseErrors:
     def test_missing_leading_sign(self):
         with pytest.raises(ParseError):
             parse("1p +1q")
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("+1a+2b", "+1a +2b"),
+            ("+1(a.b)c.d", (9, "expected '+' or '-', found '.'")),
+            ("+1a(b.c)d", (4, "expected '+' or '-', found '('")),
+            ("+1a.b(c.d)e", (6, "expected '+' or '-', found '('")),
+            ("+1a .b", (5, "expected '+' or '-', found '.'")),
+            ("+1 a", (3, "expected symbol")),
+            ("+1a -", (6, "expected digits after sign")),
+            ("+1a +1/", (8, "expected digits after '/'")),
+            ("+1a +3/0b", (8, "zero denominator")),
+            ("+1(a.b)", (8, "expected symbol")),
+            ("+1(a.)b", (6, "expected symbol")),
+            ("+1(.a)b", (4, "expected symbol")),
+            ("+1a.1", (5, "expected symbol")),
+            ("+01a", "+1a"),
+            ("+1/01a", "+1a"),
+            ("-0a", "0"),
+            ("+1a\u00e9", (4, "expected '+' or '-', found '\u00e9'")),
+            ("+\u0661a", (2, "expected digits after sign")),
+            ("+1a,+2b", (4, "expected '+' or '-', found ','")),
+        ],
+    )
+    def test_error_table(self, text, expected):
+        """Inputs where a term pattern could stop early or run over: canonical text or error."""
+        assert _outcome(parse, text) == expected
+
+
+# A character-by-character walker over the same grammar: the reference that the
+# differential test compares parse against, error columns and messages included.
+def _reference_symbol(text, i):
+    m = SYMBOL_RE.match(text, i)
+    if not m:
+        raise ParseError("expected symbol", i + 1)
+    return m.group(), m.end()
+
+
+def _reference_key(text, i):
+    if i < len(text) and text[i] == "(":
+        open_col = i + 1
+        first, i = _reference_symbol(text, i + 1)
+        if i >= len(text) or text[i] != ".":
+            raise ParseError("expected '.' inside '(...)'", i + 1)
+        second, i = _reference_symbol(text, i + 1)
+        if i >= len(text) or text[i] != ")":
+            raise ParseError("unclosed '('", open_col)
+        third, i = _reference_symbol(text, i + 1)
+        return (first, second, third), i
+    first, i = _reference_symbol(text, i)
+    if i < len(text) and text[i] == ".":
+        second, i = _reference_symbol(text, i + 1)
+        return (first, second), i
+    return (first,), i
+
+
+def _reference_terms(text, i):
+    while i < len(text):
+        ch = text[i]
+        if ch not in "+-":
+            raise ParseError(f"expected '+' or '-', found {ch!r}", i + 1)
+        sign = -1 if ch == "-" else 1
+        i += 1
+        start = i
+        try:
+            m = re.compile("[0-9]+").match(text, i)
+            if not m:
+                raise ParseError("expected digits after sign", i + 1)
+            num = int(m.group())
+            i = m.end()
+            den = 1
+            if i < len(text) and text[i] == "/":
+                m = re.compile("[0-9]+").match(text, i + 1)
+                if not m:
+                    raise ParseError("expected digits after '/'", i + 2)
+                den = int(m.group())
+                if den == 0:
+                    raise ParseError("zero denominator", i + 2)
+                i = m.end()
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"number longer than {limit} digits", start + 1) from None
+        coeff = sign * num if den == 1 else Fraction(sign * num, den)
+        key, i = _reference_key(text, i)
+        yield key, coeff
+        i = re.compile(r"\s*").match(text, i).end()
+
+
+def _reference_parse(text):
+    i = re.compile(r"\s*").match(text).end()
+    if i >= len(text):
+        raise ParseError("empty input", i + 1)
+    if text[i] == "0":
+        j = re.compile(r"\s*").match(text, i + 1).end()
+        if j < len(text):
+            raise ParseError("unexpected text after zero element", j + 1)
+        return zero()
+    return _build(_reference_terms(text, i))
+
+
+def _outcome(parser, text):
+    """Canonical text of the parsed element, or the error's (column, message)."""
+    try:
+        return serialize(parser(text))
+    except ParseError as err:
+        return err.column, err.message
+
+
+_SYMBOLS = st.sampled_from(["a", "b", "ab", "a_1", "_"])
+_COEFFS = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+_ELEMENTS = st.builds(
+    AaaElement,
+    *(st.dictionaries(st.tuples(*[_SYMBOLS] * width), _COEFFS, max_size=4) for width in (1, 2, 3)),
+)
+_EDIT_CHARS = "+-0123456789/().ab_ \u00e9\t"
+
+
+@st.composite
+def _mutated_canonical_text(draw):
+    """Canonical text with a few characters inserted, deleted or substituted."""
+    text = serialize(draw(_ELEMENTS))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        char = draw(st.sampled_from(_EDIT_CHARS))
+        inserted, deleted = text[:i] + char + text[i:], text[:i] + text[i + 1 :]
+        text = draw(st.sampled_from([inserted, deleted, text[:i] + char + text[i + 1 :]]))
+    return text
+
+
+class TestAgainstReference:
+    @settings(max_examples=300)
+    @given(_mutated_canonical_text())
+    def test_same_element_or_same_error_as_the_character_walker(self, text):
+        assert _outcome(parse, text) == _outcome(_reference_parse, text)
+
+    @given(st.one_of(st.text(), st.text(alphabet=_EDIT_CHARS)))
+    def test_parse_is_total_and_round_trips(self, text):
+        try:
+            element = parse(text)
+        except ParseError:
+            return
+        assert isinstance(element, AaaElement)
+        assert parse(serialize(element)) == element
