@@ -21,9 +21,11 @@ tighter than ``*``::
     arg     := NAME '=' kwvalue | expr
     kwvalue := NUMBER | NAME | '(' NAME (',' NAME)* ')'
 
-Numbers are exact rational literals (``2``, ``3/2``).  They are not
-elements: the algebra has no unit, so ``2*a`` is scalar action while
-``2 + a`` or ``a*2`` is an error.
+The lexer is one compiled pattern, matched token after token.  Whitespace
+is any character for which ``str.isspace()`` holds (``\\s`` in ``re``), and
+names follow :data:`core.SYMBOL_RE`.  Numbers are exact rational literals
+(``2``, ``3/2``).  They are not elements: the algebra has no unit, so
+``2*a`` is scalar action while ``2 + a`` or ``a*2`` is an error.
 
 Builtins: ``single``, ``double``, ``triple``, ``set_single``,
 ``set_double``, ``set_triple``, ``extract``, ``replace``, ``raaa``.
@@ -31,6 +33,7 @@ Keyword arguments name term-key columns (``s1``, ``d1``, ``d2``,
 ``t1``, ``t2``, ``t3``); their values are symbol names, never
 variables.  ``replace(e, v, ...)`` takes the new coefficient as its
 second positional argument, and ``set_*(e, 0)`` clears a degree.
+``raaa()`` draws at most :data:`MAX_RAAA_TERMS` terms per degree.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ __all__ = [
     "UnboundVariableError",
     "ScalarOperandError",
     "Env",
+    "MAX_RAAA_TERMS",
     "tokenize",
     "parse_program",
     "run_program",
@@ -105,8 +109,7 @@ class ScalarOperandError(EvalError):
 # ---------------------------------------------------------------------------
 # Tokens
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name', 'number', 'sym', 'let', one of '+-*()=,;', or 'end'
     text: str
     pos: int
@@ -114,34 +117,24 @@ class Token:
 
 
 _KEYWORDS = frozenset({"sym", "let"})
-_NUMBER_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
-_PUNCT = "+-*()=,;"
+# m.lastindex names the token class.  The last group takes any other non-space
+# character, so finditer never skips one: each is a token or an error.
+_TOKEN_RE = re.compile(rf"\s*(?:([-+*()=,;])|({SYMBOL_RE.pattern})|([0-9]+(?:/[0-9]+)?)|(\S))")
+_PUNCT, _NAME, _NUMBER = 1, 2, 3
 
 
 def tokenize(src: str) -> list[Token]:
     """Split source into tokens with 1-based positions; ends with 'end'."""
     tokens: list[Token] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, pos))
-            i += 1
-            continue
-        m = SYMBOL_RE.match(src, i)
-        if m:
-            text = m.group()
-            kind = text if text in _KEYWORDS else "name"
-            tokens.append(Token(kind, text, pos))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            text = m.group()
+    for m in _TOKEN_RE.finditer(src):
+        group = m.lastindex
+        text = m.group(group)
+        pos = m.start(group) + 1
+        if group == _PUNCT:
+            tokens.append(Token(text, text, pos))
+        elif group == _NAME:
+            tokens.append(Token(text if text in _KEYWORDS else "name", text, pos))
+        elif group == _NUMBER:
             num, slash, den = text.partition("/")
             try:
                 value = as_coeff(Fraction(int(num), int(den))) if slash else int(num)
@@ -151,9 +144,8 @@ def tokenize(src: str) -> list[Token]:
                 limit = sys.get_int_max_str_digits()
                 raise LexError(f"number longer than {limit} digits", pos) from None
             tokens.append(Token("number", text, pos, value))
-            i = m.end()
-            continue
-        raise LexError(f"illegal character {ch!r}", pos)
+        else:
+            raise LexError(f"illegal character {text!r}", pos)
     tokens.append(Token("end", "", len(src) + 1))
     return tokens
 
@@ -176,19 +168,18 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        self.tok = tokens[0]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.i]
+        """Return the current token ``tok`` and move on; 'end' is never passed."""
+        tok = self.tok
         if tok.kind != "end":
             self.i += 1
+            self.tok = self.tokens[self.i]
         return tok
 
     def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             wanted = what or f"'{kind}'"
             found = "end of input" if tok.kind == "end" else repr(tok.text)
@@ -198,12 +189,12 @@ class _Parser:
     def parse_program(self) -> list[Callable]:
         stmts: list[Callable] = []
         while True:
-            while self.peek().kind == ";":
+            while self.tok.kind == ";":
                 self.advance()
-            if self.peek().kind == "end":
+            if self.tok.kind == "end":
                 return stmts
             stmts.append(self.statement())
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == ";":
                 self.advance()
             elif tok.kind != "end":
@@ -212,15 +203,15 @@ class _Parser:
                 )
 
     def statement(self) -> Callable:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "sym":
             self.advance()
             names = []
-            while self.peek().kind == "name":
+            while self.tok.kind == "name":
                 names.append(self.advance().text)
             if not names:
                 raise ExprSyntaxError(
-                    "expected at least one symbol name after 'sym'", self.peek().pos
+                    "expected at least one symbol name after 'sym'", self.tok.pos
                 )
             return lambda env: env.bindings.update({n: from_symbols([n]) for n in names})
         if tok.kind == "let":
@@ -234,7 +225,7 @@ class _Parser:
 
             return let
         left = _element(self.expr())
-        if self.peek().kind == "=":
+        if self.tok.kind == "=":
             self.advance()
             right = _element(self.expr())
             return lambda env: left(env) == right(env)
@@ -242,34 +233,34 @@ class _Parser:
 
     def expr(self) -> tuple[int, Callable]:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
+        while self.tok.kind in ("+", "-"):
             op = self.advance()
             node = op.pos, _linear(op.kind == "+", node, self.term())
         return node
 
     def term(self) -> tuple[int, Callable]:
         node = self.unary()
-        while self.peek().kind == "*":
+        while self.tok.kind == "*":
             op = self.advance()
             node = op.pos, _product(node, self.unary())
         return node
 
     def unary(self) -> tuple[int, Callable]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "-":
             self.advance()
             return tok.pos, _negation(self.unary()[1])
         return self.atom()
 
     def atom(self) -> tuple[int, Callable]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "number":
             self.advance()
             value = tok.value
             return tok.pos, lambda env: value
         if tok.kind == "name":
             self.advance()
-            if self.peek().kind == "(":
+            if self.tok.kind == "(":
                 self.advance()
                 call = _Call(tok.text, tok.pos, *self.call_args())
                 self.expect(")")
@@ -286,25 +277,25 @@ class _Parser:
     def call_args(self) -> tuple[tuple, tuple]:
         args: list[tuple[int, Callable]] = []
         kwargs: list[tuple[str, int, object]] = []
-        if self.peek().kind == ")":
+        if self.tok.kind == ")":
             return tuple(args), tuple(kwargs)
         while True:
-            if self.peek().kind == "name" and self.peek(1).kind == "=":
+            if self.tok.kind == "name" and self.tokens[self.i + 1].kind == "=":
                 name = self.advance().text
                 self.advance()
                 kwargs.append((name, *self.kwvalue()))
             else:
                 if kwargs:
                     raise ExprSyntaxError(
-                        "positional argument after keyword argument", self.peek().pos
+                        "positional argument after keyword argument", self.tok.pos
                     )
                 args.append(self.expr())
-            if self.peek().kind != ",":
+            if self.tok.kind != ",":
                 return tuple(args), tuple(kwargs)
             self.advance()
 
     def kwvalue(self) -> tuple[int, object]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "number":
             self.advance()
             return tok.pos, tok.value
@@ -314,7 +305,7 @@ class _Parser:
         if tok.kind == "(":
             self.advance()
             names = [self.expect("name", "a symbol name").text]
-            while self.peek().kind == ",":
+            while self.tok.kind == ",":
                 self.advance()
                 names.append(self.expect("name", "a symbol name").text)
             self.expect(")")
@@ -469,6 +460,10 @@ def _eval_replace(call: _Call, env: Env) -> AaaElement:
     return access.replace(_element(call.args[0])(env), _selector(call), value)
 
 
+# Per degree, so that no line runs without limit; rng.raaa itself is not capped.
+MAX_RAAA_TERMS = 100_000
+
+
 def _eval_raaa(call: _Call, env: Env) -> AaaElement:
     if len(call.args) > 1:
         raise EvalError("raaa() takes at most one positional argument (the seed)", call.pos)
@@ -485,6 +480,8 @@ def _eval_raaa(call: _Call, env: Env) -> AaaElement:
         elif name in ("n1", "n2", "n3"):
             if not isinstance(value, int):  # a literal, so never negative
                 raise EvalError(f"'{name}' must be an integer >= 0", pos)
+            if value > MAX_RAAA_TERMS:
+                raise EvalError(f"'{name}' must be at most {MAX_RAAA_TERMS}", pos)
         else:
             raise EvalError(f"raaa() has no keyword argument '{name}'", call.pos)
         opts[name] = value

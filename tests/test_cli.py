@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -124,6 +125,16 @@ class TestEval:
         monkeypatch.setattr(cli, "run_program", interrupt)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["eval", "sym a; a"])
+
+    def test_raaa_over_the_term_cap_exits_2_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "antiassoc", "eval", "raaa(n1=100000000000)"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "line 1: col 9: 'n1' must be at most 100000\n"
 
     def test_unknown_flag_exits_64(self):
         proc = run_cli("eval", "--bogus", "sym a; a")
@@ -262,3 +273,70 @@ class TestRepl:
         one = run_cli("repl", stdin=script)
         two = run_cli("repl", "--seed", "4", stdin="raaa()\n")
         assert one.stdout == two.stdout
+
+
+_FUZZ_ATOMS = ["a", "b", "2*a", "3/2*b", "raaa(1, n1=2)", "single(a)", "extract(b, s1=b)"]
+_FUZZ_EDITS = "+-*/()=,;0123456789 ab_\u00e9\u00b2\t\x85"
+
+
+def _fuzz_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_FUZZ_ATOMS)
+    op = rng.choice([" + ", " - ", "*"])
+    text = _fuzz_expr(rng, depth - 1) + op + _fuzz_expr(rng, depth - 1)
+    return f"({text})" if rng.random() < 0.5 else text
+
+
+def _fuzzed_lines(seed, count):
+    """Statements with up to 3 characters inserted, deleted or substituted.
+
+    No line starts a REPL command or holds a line break.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        text = rng.choice(["{}", "let v = {}", "{} = {}"]).format(
+            _fuzz_expr(rng, 3), _fuzz_expr(rng, 3)
+        )
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, len(text))
+            char = rng.choice(_FUZZ_EDITS)
+            text = rng.choice([text[:i] + char + text[i:], text[:i] + text[i + 1 :],
+                               text[:i] + char + text[i + 1 :]])
+        lines.append(text)
+    return lines
+
+
+class TestFuzzedLines:
+    def test_repl_replies_to_every_line_without_a_traceback(self):
+        # Each fuzzed line ends in "; a", so it prints +1a or reports an error
+        # for its line; the ":next" between lines marks where each reply ends.
+        fuzzed = _fuzzed_lines(7, 50)
+        script = ["sym a b"]
+        for line in fuzzed:
+            script += [f"{line}; a", ":next"]
+        proc = subprocess.run(
+            [sys.executable, "-u", "-m", "antiassoc", "repl", "--seed", "1"],
+            input="\n".join(script) + "\n",
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            encoding="utf-8",
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stdout
+        replies = proc.stdout.split("unknown command ':next'\n")
+        assert len(replies) == len(fuzzed) + 1 and replies[-1] == ""
+        for i, reply in enumerate(replies[:-1]):
+            assert reply.endswith("+1a\n") or f"line {2 + 2 * i}: " in reply, reply
+
+    def test_eval_exit_codes(self):
+        for line in _fuzzed_lines(8, 6):  # they exit 2, 2, 2, 2, 1 and 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "antiassoc", "eval", f"sym a b; {line}"],
+                capture_output=True,
+                encoding="utf-8",
+                timeout=60,
+            )
+            assert proc.returncode in (0, 1, 2), (line, proc.stderr)
+            assert "Traceback" not in proc.stderr

@@ -1,7 +1,10 @@
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiassoc import (
     AlgebraContext,
@@ -17,6 +20,7 @@ from antiassoc import (
     serialize,
 )
 from antiassoc import access, exprlang
+from antiassoc.core import SYMBOL_RE, as_coeff
 from antiassoc.exprlang import parse_program, run_program, tokenize
 from antiassoc.rng import SplitMix64
 from conftest import (
@@ -84,6 +88,105 @@ class TestTokenize:
                 tokenize(src)
             assert err.value.pos == pos
             assert f"longer than {limit} digits" in err.value.message
+
+
+def _reference_tokenize(src):
+    """The character-walking lexer that the one-pattern tokenize replaced."""
+    tokens = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        pos = i + 1
+        if ch in "+-*()=,;":
+            tokens.append((ch, ch, pos, None))
+            i += 1
+            continue
+        m = SYMBOL_RE.match(src, i)
+        if m:
+            text = m.group()
+            tokens.append((text if text in ("sym", "let") else "name", text, pos, None))
+            i = m.end()
+            continue
+        m = re.compile(r"[0-9]+(?:/[0-9]+)?").match(src, i)
+        if m:
+            text = m.group()
+            num, slash, den = text.partition("/")
+            try:
+                value = as_coeff(Fraction(int(num), int(den))) if slash else int(num)
+            except ZeroDivisionError:
+                raise LexError("zero denominator in rational literal", pos) from None
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise LexError(f"number longer than {limit} digits", pos) from None
+            tokens.append(("number", text, pos, value))
+            i = m.end()
+            continue
+        raise LexError(f"illegal character {ch!r}", pos)
+    tokens.append(("end", "", len(src) + 1, None))
+    return tokens
+
+
+def _lex_outcome(lexer, src):
+    """Each token as (kind, text, pos, value, type of value), or the error."""
+    try:
+        return [(*tok, type(tok[3])) for tok in lexer(src)]
+    except LexError as err:
+        return type(err), err.message, err.pos
+
+
+_STATEMENT_PIECES = st.sampled_from(
+    ["sym", "let", "a", "b_1", "v0", "raaa", "extract", "s1", "2", "3/2", "10/4", "0",
+     "+", "-", "*", "(", ")", "=", ",", ";"]
+)
+_LEX_EDIT_CHARS = "+-*/()=,;0123456789 ab_\u00e9\u00b2\t \x85"
+
+
+@st.composite
+def _mutated_statement(draw):
+    """Statement text with a few characters inserted, deleted or substituted."""
+    pieces = draw(st.lists(_STATEMENT_PIECES, max_size=12))
+    text = "".join(piece + draw(st.sampled_from(["", " ", "  "])) for piece in pieces)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        char = draw(st.sampled_from(_LEX_EDIT_CHARS))
+        inserted, deleted = text[:i] + char + text[i:], text[:i] + text[i + 1 :]
+        text = draw(st.sampled_from([inserted, deleted, text[:i] + char + text[i + 1 :]]))
+    return text
+
+
+class TestTokenizeAgainstReference:
+    @settings(max_examples=300)
+    @given(_mutated_statement())
+    def test_same_tokens_or_same_error_as_the_character_walker(self, src):
+        assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_tokenize, src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "a\u00a0+\u2003b",  # no-break space, em space
+            "\u3000let\x85v\u2028=\x1c3/2*a\u205f",
+            "1/0",
+            "sym a; 10/4*a + 4/2*a",
+            "sym a; 3/",
+            "\u00b2",
+            "a * 9" + "9" * sys.get_int_max_str_digits(),
+        ],
+    )
+    def test_fixed_rows(self, src):
+        assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_tokenize, src)
+
+
+class TestFuzz:
+    @given(st.text())
+    def test_only_expr_errors_escape(self, src):
+        for step in (tokenize, parse_program, lambda text: run_program(text, Env())):
+            try:
+                step(src)
+            except ExprError:
+                pass
 
 
 class TestParse:
@@ -299,6 +402,7 @@ class TestErrors:
             ("sym a; raaa(a)", EvalError, "raaa() seed must be an integer", 13),
             ("sym a; set_single(a, 5)", EvalError,
              "replacement must be an element or the literal 0", 8),
+            ("raaa(n1=100000000000)", EvalError, "'n1' must be at most 100000", 9),
         ],
     )
     def test_error_table(self, src, cls, message, pos):
@@ -339,7 +443,9 @@ class TestPartialRun:
             run_program("sym a; let v = a; foo(a)", env)
         assert env.bindings == {"a": parse("+1a"), "v": parse("+1a")}
 
-    @pytest.mark.parametrize("src", ["raaa(n1=3/2)", "raaa(alphabet=3)", "raaa(s1=a)"])
+    @pytest.mark.parametrize(
+        "src", ["raaa(n1=3/2)", "raaa(alphabet=3)", "raaa(s1=a)", "raaa(n1=1, n3=100001)"]
+    )
     def test_failed_raaa_takes_no_seed(self, src):
         env = Env(seed=5)
         with pytest.raises(EvalError):
