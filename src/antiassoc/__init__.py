@@ -12,6 +12,8 @@ The ``*`` operator uses the default antiassociative context (K = -1);
 use :func:`mul` with an :class:`AlgebraContext` for other values of K.
 """
 
+from types import ModuleType as _ModuleType
+
 from .access import (
     DegreeMismatchError,
     KeySelector,
@@ -71,58 +73,8 @@ from .textio import ParseError, parse, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AaaElement",
-    "AlgebraContext",
-    "AlgebraError",
-    "Coefficient",
-    "DEFAULT_CONTEXT",
-    "DegreeMismatchError",
-    "EmptyAlphabetError",
-    "Env",
-    "EvalError",
-    "ExprError",
-    "ExprSyntaxError",
-    "InvalidSymbolError",
-    "KeySelector",
-    "LengthMismatchError",
-    "LexError",
-    "ParseError",
-    "RaggedMatrixError",
-    "ScalarOperandError",
-    "TermKey",
-    "UnboundVariableError",
-    "add",
-    "as_coeff",
-    "check_symbol",
-    "d1",
-    "d2",
-    "dc",
-    "double",
-    "extract",
-    "extract_matrix",
-    "from_symbols",
-    "make_element",
-    "mul",
-    "neg",
-    "parse",
-    "raaa",
-    "replace",
-    "replace_matrix",
-    "run_program",
-    "s1",
-    "sc",
-    "scalar_mul",
-    "serialize",
-    "set_double",
-    "set_single",
-    "set_triple",
-    "single",
-    "sub",
-    "t1",
-    "t2",
-    "t3",
-    "tc",
-    "triple",
-    "zero",
-]
+# Every name imported above, less the submodules that importing them binds.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

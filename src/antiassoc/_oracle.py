@@ -10,21 +10,18 @@ slow, structurally independent cross-check for the product in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import AaaElement, TermKey, _build, as_coeff, check_symbol, zero
 
 __all__ = ["Leaf", "Node", "Tree", "degree", "normalize", "naive_mul"]
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     left: "Tree"
     right: "Tree"
 

@@ -17,7 +17,6 @@ describe the same term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     Coefficient,
     LengthMismatchError,
     TermKey,
+    _Value,
     as_coeff,
     check_symbol,
 )
@@ -64,8 +64,7 @@ class RaggedMatrixError(AlgebraError):
     """Matrix rows do not form term keys of one uniform width."""
 
 
-@dataclass(frozen=True)
-class KeySelector:
+class KeySelector(_Value):
     """A set of term keys named by parallel symbol columns.
 
     ``s1`` lists degree-1 keys; ``(d1, d2)`` and ``(t1, t2, t3)`` list
@@ -73,17 +72,19 @@ class KeySelector:
     have equal lengths; any group may be empty.
     """
 
-    s1: Sequence[str] = ()
-    d1: Sequence[str] = ()
-    d2: Sequence[str] = ()
-    t1: Sequence[str] = ()
-    t2: Sequence[str] = ()
-    t3: Sequence[str] = ()
+    __slots__ = ("s1", "d1", "d2", "t1", "t2", "t3")
 
-    def __post_init__(self) -> None:
-        for name in ("s1", "d1", "d2", "t1", "t2", "t3"):
-            col = tuple(check_symbol(s) for s in getattr(self, name))
-            object.__setattr__(self, name, col)
+    def __init__(
+        self,
+        s1: Sequence[str] = (),
+        d1: Sequence[str] = (),
+        d2: Sequence[str] = (),
+        t1: Sequence[str] = (),
+        t2: Sequence[str] = (),
+        t3: Sequence[str] = (),
+    ) -> None:
+        for name, col in zip(self.__slots__, (s1, d1, d2, t1, t2, t3)):
+            object.__setattr__(self, name, tuple(check_symbol(s) for s in col))
         if len(self.d1) != len(self.d2):
             raise LengthMismatchError("d1 and d2 must have equal lengths")
         if not (len(self.t1) == len(self.t2) == len(self.t3)):

@@ -13,9 +13,8 @@ general correction term ``(1+k)*((a*x)*b)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._oracle import naive_mul
 from .core import (
@@ -33,8 +32,7 @@ from .textio import parse, serialize
 __all__ = ["PropertyReport", "run_suite", "random_rational_element"]
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     name: str
     passed: int
     trials: int

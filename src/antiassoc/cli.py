@@ -90,6 +90,12 @@ def _resolve_seed(parser: _ArgumentParser, value) -> int:
         parser.error(f"invalid seed: {raw!r}")
 
 
+def _session(parser: _ArgumentParser, args) -> Env:
+    """The session ``eval`` and ``repl`` start in, from ``--k`` and ``--seed``."""
+    context = AlgebraContext(_resolve_k(parser, args.k))
+    return Env(context=context, seed=_resolve_seed(parser, args.seed))
+
+
 def _serialize_or_report(element, lineno: int) -> Optional[str]:
     """``serialize(element)``, or None once a too-long coefficient is reported."""
     try:
@@ -132,10 +138,7 @@ def _run_line(src: str, env: Env, lineno: int, tty: bool):
 
 
 def _cmd_eval(parser: _ArgumentParser, args) -> int:
-    env = Env(
-        context=AlgebraContext(_resolve_k(parser, args.k)),
-        seed=_resolve_seed(parser, args.seed),
-    )
+    env = _session(parser, args)
     tty = sys.stdout.isatty()
     if args.exprs:
         lines = list(enumerate(args.exprs, 1))
@@ -158,10 +161,7 @@ def _cmd_repl(parser: _ArgumentParser, args) -> int:
         import readline  # noqa: F401  (line editing when available)
     except ImportError:
         pass
-    env = Env(
-        context=AlgebraContext(_resolve_k(parser, args.k)),
-        seed=_resolve_seed(parser, args.seed),
-    )
+    env = _session(parser, args)
     interactive = sys.stdin.isatty()
     tty = sys.stdout.isatty()
     prompt = "aaa> " if interactive else ""

@@ -22,7 +22,6 @@ any other K.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -106,8 +105,42 @@ def as_coeff(value: object) -> Coefficient:
     )
 
 
-@dataclass(frozen=True)
-class AaaElement:
+class _Value:
+    """Base for immutable values whose fields are their class's ``__slots__``.
+
+    ``==`` (within one class), hash, the ``Name(field=value, ...)`` repr,
+    copy and pickle all go by the fields; a copy passes the constructor's
+    checks again.  Assigning to or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class AaaElement(_Value):
     """An element, held as three sparse maps from term key to coefficient.
 
     Keys are tuples of 1, 2 or 3 symbol names; a 3-tuple ``(i, j, k)``
@@ -117,39 +150,35 @@ class AaaElement:
     and the maps must be treated as read-only.
     """
 
+    __slots__ = ("singles", "doubles", "triples")
     singles: dict[TermKey, Coefficient]
     doubles: dict[TermKey, Coefficient]
     triples: dict[TermKey, Coefficient]
 
-    def __post_init__(self) -> None:
-        for attr, degree in (("singles", 1), ("doubles", 2), ("triples", 3)):
-            clean: dict = {}
-            for key, value in getattr(self, attr).items():
-                if isinstance(key, str):
-                    raise LengthMismatchError(
-                        f"term keys must be symbol tuples, got the string {key!r}"
-                    )
-                key = tuple(key)
-                if len(key) != degree:
-                    raise LengthMismatchError(
-                        f"{attr} key {key!r} does not have degree {degree}"
-                    )
-                for symbol in key:
-                    check_symbol(symbol)
-                coeff = as_coeff(value)
-                if coeff:
-                    clean[key] = coeff
-            object.__setattr__(self, attr, clean)
+    def __new__(cls, singles: Mapping, doubles: Mapping, triples: Mapping) -> AaaElement:
+        """The checked constructor: check each term of maps from outside, then sum.
+
+        A map may hold zero coefficients; they are checked, then dropped.
+        """
+        maps = {"singles": singles, "doubles": doubles, "triples": triples}
+        return _build(
+            _checked_term(name, degree, key, value)
+            for degree, (name, m) in enumerate(maps.items(), 1)
+            for key, value in m.items()
+        )
+
+    def _values(self) -> tuple:  # spelled out: the generic loop makes ``==`` 4x slower
+        return self.singles, self.doubles, self.triples
 
     @classmethod
     def _trusted(cls, singles: dict, doubles: dict, triples: dict) -> AaaElement:
         """Wrap maps that already hold the invariants, without copy or check.
 
-        The invariants are the ones ``__post_init__`` establishes: keys are
-        tuples of the map's degree over valid symbols, and every coefficient
-        is a nonzero int or a Fraction whose denominator is not 1.  Every
-        operation builds its result this way; ``AaaElement(...)`` is the
-        checked constructor for maps from outside.
+        The invariants are the ones the checked constructor establishes:
+        keys are tuples of the map's degree over valid symbols, and every
+        coefficient is a nonzero int or a Fraction whose denominator is
+        not 1.  Every operation builds its result this way;
+        ``AaaElement(...)`` is the checked constructor for maps from outside.
         """
         element = object.__new__(cls)
         object.__setattr__(element, "singles", singles)
@@ -214,14 +243,14 @@ class AaaElement:
         return f"<AaaElement {self}>"
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+class AlgebraContext(_Value):
     """Multiplication policy: the constant K in the rewrite a(bc) = K*(ab)c."""
 
-    k: Coefficient = -1
+    __slots__ = ("k",)
+    k: Coefficient
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", as_coeff(self.k))
+    def __init__(self, k: object = -1) -> None:
+        object.__setattr__(self, "k", as_coeff(k))
 
 
 DEFAULT_CONTEXT = AlgebraContext()
@@ -271,6 +300,16 @@ def make_element(
             raise LengthMismatchError(f"parallel lists {what} must have equal lengths")
         pairs += zip(zip(*[map(check_symbol, c) for c in cols]), map(as_coeff, coeffs))
     return _build(pairs)
+
+
+def _checked_term(name: str, degree: int, key: object, value: object) -> tuple:
+    """A checked ``(key, coefficient)`` pair from the ``name`` map given to ``AaaElement``."""
+    if isinstance(key, str):
+        raise LengthMismatchError(f"term keys must be symbol tuples, got the string {key!r}")
+    key = tuple(key)
+    if len(key) != degree:
+        raise LengthMismatchError(f"{name} key {key!r} does not have degree {degree}")
+    return tuple(map(check_symbol, key)), as_coeff(value)
 
 
 def _build(pairs: Iterable[tuple[TermKey, Coefficient]]) -> AaaElement:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -389,6 +388,11 @@ def parse_program(src: str) -> list[Callable]:
     :class:`Env` and returns None for ``sym`` and ``let``, an element for
     an expression and a bool for an equality.  Only syntax errors are
     raised here; evaluation errors are raised when a statement runs.
+    Parsing is recursive descent, so input nested past the interpreter's
+    recursion limit raises ``RecursionError``, not an :class:`ExprError`:
+    at the default limit, a little under 250 nested parentheses or 1,000
+    unary minuses.  ``aaa`` reports it as
+    ``line N: expression nested too deeply``.
     """
     return _Parser(tokenize(src)).parse_program()
 
@@ -396,16 +400,18 @@ def parse_program(src: str) -> list[Callable]:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass
 class Env:
     """Mutable interpreter session: context, bindings, seed stream for raaa()."""
 
-    context: AlgebraContext = DEFAULT_CONTEXT
-    bindings: dict[str, AaaElement] = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self._seed_stream = SplitMix64(self.seed)
+    def __init__(
+        self,
+        context: AlgebraContext = DEFAULT_CONTEXT,
+        bindings: Optional[dict[str, AaaElement]] = None,
+        seed: int = 0,
+    ) -> None:
+        self.context = context
+        self.bindings = {} if bindings is None else bindings
+        self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
         self.seed = seed
@@ -521,6 +527,9 @@ def run_program(src: str, env: Env) -> list:
 
     Returns one result per statement (see :func:`parse_program`).  A
     syntax error anywhere in ``src`` runs none of it; an evaluation error
-    stops the run, and the bindings made before it stay in ``env``.
+    stops the run, and the bindings made before it stay in ``env``.  Input
+    nested past the interpreter's recursion limit raises ``RecursionError``,
+    not an :class:`ExprError`; ``aaa`` reports it as
+    ``line N: expression nested too deeply``.
     """
     return [run(env) for run in parse_program(src)]

@@ -222,6 +222,11 @@ class TestCheckCommand:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.stdout == "[]\n", proc.stderr
 
+    def test_start_up_does_not_load_dataclasses(self):
+        probe = "import sys, antiassoc.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.stdout == "False\n", proc.stderr
+
 
 class TestRepl:
     def test_piped_session(self):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from antiassoc import (
     AlgebraContext,
     DEFAULT_CONTEXT,
     InvalidSymbolError,
+    KeySelector,
     LengthMismatchError,
     add,
     as_coeff,
@@ -248,3 +251,79 @@ class TestImmutability:
 
     def test_default_context_constant(self):
         assert DEFAULT_CONTEXT.k == -1
+
+
+VALUES = [
+    pytest.param(lambda: parse("+3/2a -1a.b +2(a.b)c"), id="AaaElement"),
+    pytest.param(lambda: AlgebraContext("5/2"), id="AlgebraContext"),
+    pytest.param(lambda: KeySelector(s1=["a"], d1=["b"], d2=["c"]), id="KeySelector"),
+]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("make", VALUES)
+    def test_equal_values_hash_equal(self, make):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+
+    @pytest.mark.parametrize("make", VALUES)
+    def test_fields_cannot_be_assigned(self, make):
+        value = make()
+        field = next(name for name in ("singles", "k", "s1") if hasattr(value, name))
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize("make", VALUES)
+    def test_deepcopy_and_pickle_give_equal_values(self, make):
+        value = make()
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_reprs(self):
+        assert repr(AlgebraContext()) == "AlgebraContext(k=-1)"
+        assert repr(AlgebraContext("5/2")) == "AlgebraContext(k=Fraction(5, 2))"
+        assert repr(KeySelector(s1=["c", "e"], t1=["c"], t2=["d"], t3=["d"])) == (
+            "KeySelector(s1=('c', 'e'), d1=(), d2=(), t1=('c',), t2=('d',), t3=('d',))"
+        )
+
+    def test_keyword_construction(self):
+        e = AaaElement(singles={("a",): 1}, doubles={}, triples={("a", "b", "c"): -2})
+        assert serialize(e) == "+1a -2(a.b)c"
+
+
+SYMBOL_MESSAGE = "symbol name must match [A-Za-z_][A-Za-z_0-9]*: "
+COEFF_MESSAGE = "coefficients must be exact rationals (int, Fraction or 'n/d' text), not "
+
+
+class TestCheckedConstructor:
+    @pytest.mark.parametrize(
+        "maps, error, message",
+        [
+            (({"a": 1}, {}, {}), LengthMismatchError,
+             "term keys must be symbol tuples, got the string 'a'"),
+            (({("a", "b"): 1}, {}, {}), LengthMismatchError,
+             "singles key ('a', 'b') does not have degree 1"),
+            (({}, {}, {("a", "b"): 1}), LengthMismatchError,
+             "triples key ('a', 'b') does not have degree 3"),
+            (({("a.b",): 1}, {}, {}), InvalidSymbolError, SYMBOL_MESSAGE + "'a.b'"),
+            (({}, {("a", ""): 1}, {}), InvalidSymbolError, SYMBOL_MESSAGE + "''"),
+            (({}, {}, {("a", "b", "\u00e9"): 1}), InvalidSymbolError, SYMBOL_MESSAGE + "'\u00e9'"),
+            (({("a",): 0.5}, {}, {}), TypeError, COEFF_MESSAGE + "float"),
+            (({}, {("a", "b"): True}, {}), TypeError, COEFF_MESSAGE + "bool"),
+            # Each term is checked key first, then coefficient, singles first.
+            (({("a.b",): 0.5}, {}, {}), InvalidSymbolError, SYMBOL_MESSAGE + "'a.b'"),
+            (({("a", "b"): 0.5}, {}, {}), LengthMismatchError,
+             "singles key ('a', 'b') does not have degree 1"),
+            (({("a.b", "c"): 1}, {}, {}), LengthMismatchError,
+             "singles key ('a.b', 'c') does not have degree 1"),
+            (({("a",): 0.5}, {"a": 1}, {}), TypeError, COEFF_MESSAGE + "float"),
+            # A zero coefficient is dropped, but only after its key is checked.
+            (({("a.b",): 0}, {}, {}), InvalidSymbolError, SYMBOL_MESSAGE + "'a.b'"),
+        ],
+    )
+    def test_error_table(self, maps, error, message):
+        with pytest.raises(error) as info:
+            AaaElement(*maps)
+        assert type(info.value) is error
+        assert str(info.value) == message

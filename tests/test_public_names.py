@@ -1,0 +1,26 @@
+"""The package exports exactly its public names, each once."""
+
+import types
+
+import antiassoc
+
+PUBLIC_NAMES = """
+AaaElement AlgebraContext AlgebraError Coefficient DEFAULT_CONTEXT DegreeMismatchError
+EmptyAlphabetError Env EvalError ExprError ExprSyntaxError InvalidSymbolError KeySelector
+LengthMismatchError LexError ParseError RaggedMatrixError ScalarOperandError TermKey
+UnboundVariableError add as_coeff check_symbol d1 d2 dc double extract extract_matrix
+from_symbols make_element mul neg parse raaa replace replace_matrix run_program s1 sc
+scalar_mul serialize set_double set_single set_triple single sub t1 t2 t3 tc triple zero
+""".split()
+
+
+def test_all_lists_the_public_names():
+    assert len(PUBLIC_NAMES) == 53
+    assert sorted(antiassoc.__all__) == sorted(PUBLIC_NAMES)
+    assert len(set(antiassoc.__all__)) == len(antiassoc.__all__)
+
+
+def test_every_name_resolves_and_none_is_a_module():
+    for name in antiassoc.__all__:
+        assert not isinstance(getattr(antiassoc, name), types.ModuleType), name
+

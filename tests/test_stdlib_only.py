@@ -25,3 +25,9 @@ def test_every_import_is_stdlib():
         if name.partition(".")[0] not in sys.stdlib_module_names
     )
     assert outside == []
+
+
+def test_no_source_imports_dataclasses():
+    # dataclasses pulls in inspect, a large part of the start-up of aaa.
+    imports = {(path.name, name) for path in SOURCES for name in _absolute_imports(path)}
+    assert sorted(file for file, name in imports if name == "dataclasses") == []
