@@ -98,9 +98,6 @@ class KeySelector(_Value):
         return out
 
 
-_ATTRS = ("singles", "doubles", "triples")
-
-
 def single(element: AaaElement) -> AaaElement:
     """The degree-1 part of the element."""
     return AaaElement._trusted(element.singles, {}, {})
@@ -117,21 +114,21 @@ def triple(element: AaaElement) -> AaaElement:
 
 
 def _set_degree(element: AaaElement, replacement: object, degree: int) -> AaaElement:
-    attr = _ATTRS[degree - 1]
+    i = degree - 1
     if isinstance(replacement, AaaElement):
-        for other in _ATTRS:
-            if other != attr and getattr(replacement, other):
-                raise DegreeMismatchError(
-                    f"replacement for {attr} contains terms of another degree"
-                )
-        new_map = getattr(replacement, attr)
+        maps = replacement._values()
+        if any(m for j, m in enumerate(maps) if j != i):
+            raise DegreeMismatchError(
+                f"replacement for {AaaElement.__slots__[i]} contains terms of another degree"
+            )
+        new_map = maps[i]
     elif replacement == 0 and not isinstance(replacement, bool):
         new_map = {}
     else:
         raise TypeError("replacement must be an element or the literal 0")
-    parts = {a: getattr(element, a) for a in _ATTRS}
-    parts[attr] = new_map
-    return AaaElement._trusted(parts["singles"], parts["doubles"], parts["triples"])
+    parts = list(element._values())
+    parts[i] = new_map
+    return AaaElement._trusted(*parts)
 
 
 def set_single(element: AaaElement, replacement: object) -> AaaElement:
@@ -150,7 +147,7 @@ def set_triple(element: AaaElement, replacement: object) -> AaaElement:
 
 
 def _extract_keys(element: AaaElement, keys: Sequence[TermKey]) -> AaaElement:
-    maps = (element.singles, element.doubles, element.triples)
+    maps = element._values()
     picked: tuple[dict, dict, dict] = ({}, {}, {})
     for key in keys:
         src = maps[len(key) - 1]
@@ -162,7 +159,7 @@ def _extract_keys(element: AaaElement, keys: Sequence[TermKey]) -> AaaElement:
 def _replace_keys(
     element: AaaElement, keys: Sequence[TermKey], value: Coefficient
 ) -> AaaElement:
-    parts = [dict(element.singles), dict(element.doubles), dict(element.triples)]
+    parts = [dict(m) for m in element._values()]
     for key in keys:
         target = parts[len(key) - 1]
         if value:
@@ -210,7 +207,7 @@ def replace_matrix(
 
 def _terms(element: AaaElement, degree: int) -> list[tuple[TermKey, Coefficient]]:
     """One degree's (key, coefficient) pairs in canonical order."""
-    return sorted(getattr(element, _ATTRS[degree - 1]).items())
+    return sorted(element._values()[degree - 1].items())
 
 
 def s1(element: AaaElement) -> list[str]:

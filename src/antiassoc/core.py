@@ -34,7 +34,6 @@ __all__ = [
     "AaaElement",
     "AlgebraContext",
     "DEFAULT_CONTEXT",
-    "SYMBOL_RE",
     "check_symbol",
     "as_coeff",
     "zero",

@@ -69,9 +69,6 @@ __all__ = [
     "UnboundVariableError",
     "ScalarOperandError",
     "Env",
-    "MAX_RAAA_TERMS",
-    "tokenize",
-    "parse_program",
     "run_program",
 ]
 
@@ -230,19 +227,28 @@ class _Parser:
             return lambda env: left(env) == right(env)
         return left
 
+    # A chain of '+'/'-' or of '*' compiles to one closure, so its length is
+    # not limited by recursion; its column is that of its last operator.
+
     def expr(self) -> tuple[int, Callable]:
-        node = self.term()
+        first = self.term()
+        if self.tok.kind not in ("+", "-"):
+            return first
+        rest = []
         while self.tok.kind in ("+", "-"):
             op = self.advance()
-            node = op.pos, _linear(op.kind == "+", node, self.term())
-        return node
+            rest.append((op.kind == "+", *self.term()))
+        return op.pos, _linear(first, rest)
 
     def term(self) -> tuple[int, Callable]:
-        node = self.unary()
+        first = self.unary()
+        if self.tok.kind != "*":
+            return first
+        rest = []
         while self.tok.kind == "*":
             op = self.advance()
-            node = op.pos, _product(node, self.unary())
-        return node
+            rest.append(self.unary())
+        return op.pos, _product(first[1], rest)
 
     def unary(self) -> tuple[int, Callable]:
         tok = self.tok
@@ -350,33 +356,35 @@ def _negation(value_of: Callable) -> Callable:
     return run
 
 
-def _linear(plus: bool, left: tuple[int, Callable], right: tuple[int, Callable]) -> Callable:
-    (lpos, lrun), (rpos, rrun) = left, right
+def _linear(first: tuple[int, Callable], rest: list[tuple[bool, int, Callable]]) -> Callable:
+    """Sum a chain left to right; ``rest`` holds (is '+', pos, run) per operand."""
+    fpos, frun = first
 
     def run(env):
-        x = lrun(env)
+        x = frun(env)
         if not isinstance(x, AaaElement):
-            raise ScalarOperandError(_NOT_ELEMENT, lpos)
-        y = rrun(env)
-        if not isinstance(y, AaaElement):
-            raise ScalarOperandError(_NOT_ELEMENT, rpos)
-        return add(x, y) if plus else sub(x, y)
+            raise ScalarOperandError(_NOT_ELEMENT, fpos)
+        for plus, pos, value_of in rest:
+            y = value_of(env)
+            if not isinstance(y, AaaElement):
+                raise ScalarOperandError(_NOT_ELEMENT, pos)
+            x = add(x, y) if plus else sub(x, y)
+        return x
 
     return run
 
 
-def _product(left: tuple[int, Callable], right: tuple[int, Callable]) -> Callable:
+def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
     """Element times element is ``mul``; a number as the left factor scales."""
-    lrun, (rpos, rrun) = left[1], right
 
     def run(env):
-        x = lrun(env)
-        y = rrun(env)
-        if not isinstance(y, AaaElement):
-            raise ScalarOperandError("a number may only appear as the left factor of '*'", rpos)
-        if isinstance(x, AaaElement):
-            return mul(env.context, x, y)
-        return scalar_mul(x, y)
+        x = first(env)
+        for pos, value_of in rest:
+            y = value_of(env)
+            if not isinstance(y, AaaElement):
+                raise ScalarOperandError("a number may only appear as the left factor of '*'", pos)
+            x = mul(env.context, x, y) if isinstance(x, AaaElement) else scalar_mul(x, y)
+        return x
 
     return run
 
@@ -392,7 +400,8 @@ def parse_program(src: str) -> list[Callable]:
     recursion limit raises ``RecursionError``, not an :class:`ExprError`:
     at the default limit, a little under 250 nested parentheses or 1,000
     unary minuses.  ``aaa`` reports it as
-    ``line N: expression nested too deeply``.
+    ``line N: expression nested too deeply``.  A flat chain such as
+    ``a+b-c`` or ``a*b*c`` is not nested, and may be of any length.
     """
     return _Parser(tokenize(src)).parse_program()
 
@@ -403,14 +412,9 @@ def parse_program(src: str) -> list[Callable]:
 class Env:
     """Mutable interpreter session: context, bindings, seed stream for raaa()."""
 
-    def __init__(
-        self,
-        context: AlgebraContext = DEFAULT_CONTEXT,
-        bindings: Optional[dict[str, AaaElement]] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, context: AlgebraContext = DEFAULT_CONTEXT, seed: int = 0) -> None:
         self.context = context
-        self.bindings = {} if bindings is None else bindings
+        self.bindings: dict[str, AaaElement] = {}
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
@@ -438,13 +442,10 @@ def _eval_degree(call: _Call, env: Env, fn, arity: int) -> AaaElement:
     return fn(_element(call.args[0])(env), *(value_of(env) for _, value_of in call.args[1:]))
 
 
-_SELECTOR_GROUPS = ("s1", "d1", "d2", "t1", "t2", "t3")
-
-
 def _selector(call: _Call) -> access.KeySelector:
     groups: dict[str, tuple[str, ...]] = {}
     for name, pos, value in call.kwargs:
-        if name not in _SELECTOR_GROUPS:
+        if name not in access.KeySelector.__slots__:
             raise EvalError(f"{call.name}() has no keyword argument '{name}'", call.pos)
         if name in groups:
             raise EvalError(f"duplicate keyword argument '{name}'", call.pos)

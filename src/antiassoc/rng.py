@@ -17,9 +17,6 @@ from .core import AaaElement, AlgebraError, _build, check_symbol
 
 __all__ = [
     "EmptyAlphabetError",
-    "SplitMix64",
-    "Xoshiro256StarStar",
-    "DEFAULT_ALPHABET",
     "raaa",
 ]
 

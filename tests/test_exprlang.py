@@ -286,6 +286,32 @@ class TestEval:
         with pytest.raises(ScalarOperandError):
             eval_one("let v = 2")
 
+    def test_long_flat_chains_evaluate(self):
+        # Far past the recursion limit: a chain compiles to one closure, not a nest.
+        assert serialize(eval_one("sym a; " + "+".join(["a"] * 5000))) == "+5000a"
+        assert serialize(eval_one("sym a; " + "*".join(["a"] * 3000))) == "0"
+        assert serialize(eval_one("sym a b; " + "a-b+" * 2000 + "a")) == "+2001a -2000b"
+
+    @pytest.mark.parametrize(
+        "src, cls",
+        [
+            ("sym a; 2 + nope", ScalarOperandError),
+            ("sym a; a + nope + 2", UnboundVariableError),
+            ("sym a; a - a + 2 + nope", ScalarOperandError),
+            ("2*3*nope", ScalarOperandError),
+            ("sym a; a*nope*2", UnboundVariableError),
+        ],
+    )
+    def test_chain_runs_and_checks_operands_left_to_right(self, src, cls):
+        with pytest.raises(cls):
+            eval_one(src)
+
+    def test_chain_column_is_its_last_operator(self):
+        for src, pos in [("sym a; raaa(a + a - a)", 19), ("sym a; raaa(2*a*a)", 16)]:
+            with pytest.raises(EvalError) as err:
+                eval_one(src)
+            assert (err.value.message, err.value.pos) == ("raaa() seed must be an integer", pos)
+
 
 class TestBuiltins:
     def test_degree_split(self):

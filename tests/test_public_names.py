@@ -1,6 +1,9 @@
 """The package exports exactly its public names, each once."""
 
+import importlib
 import types
+
+import pytest
 
 import antiassoc
 
@@ -24,3 +27,29 @@ def test_every_name_resolves_and_none_is_a_module():
     for name in antiassoc.__all__:
         assert not isinstance(getattr(antiassoc, name), types.ModuleType), name
 
+
+MODULES = ("access", "core", "exprlang", "rng", "textio")
+
+
+def test_package_exports_exactly_its_modules_all():
+    modules = [importlib.import_module(f"antiassoc.{name}") for name in MODULES]
+    concatenated = [name for module in modules for name in module.__all__]
+    assert antiassoc.__all__ == concatenated
+    assert len(set(concatenated)) == len(concatenated)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("core", "SYMBOL_RE"),
+        ("exprlang", "MAX_RAAA_TERMS"),
+        ("exprlang", "tokenize"),
+        ("exprlang", "parse_program"),
+        ("rng", "SplitMix64"),
+        ("rng", "Xoshiro256StarStar"),
+        ("rng", "DEFAULT_ALPHABET"),
+    ],
+)
+def test_names_left_out_of_all_still_import_from_their_module(module, name):
+    assert hasattr(importlib.import_module(f"antiassoc.{module}"), name)
+    assert name not in antiassoc.__all__
