@@ -26,8 +26,8 @@ from .core import (
     LengthMismatchError,
     TermKey,
     _Value,
+    _check_symbols,
     as_coeff,
-    check_symbol,
 )
 
 __all__ = [
@@ -84,7 +84,7 @@ class KeySelector(_Value):
         t3: Sequence[str] = (),
     ) -> None:
         for name, col in zip(self.__slots__, (s1, d1, d2, t1, t2, t3)):
-            object.__setattr__(self, name, tuple(check_symbol(s) for s in col))
+            object.__setattr__(self, name, tuple(_check_symbols(col)))
         if len(self.d1) != len(self.d2):
             raise LengthMismatchError("d1 and d2 must have equal lengths")
         if not (len(self.t1) == len(self.t2) == len(self.t3)):
@@ -184,7 +184,7 @@ def replace(element: AaaElement, selector: KeySelector, value: object) -> AaaEle
 
 
 def _matrix_keys(rows: Sequence[Sequence[str]]) -> list[TermKey]:
-    keys = [tuple(check_symbol(s) for s in row) for row in rows]
+    keys = [tuple(_check_symbols(row)) for row in rows]
     widths = {len(k) for k in keys}
     if len(widths) > 1:
         raise RaggedMatrixError("matrix rows differ in width")

@@ -145,7 +145,7 @@ _PROPERTIES: list[tuple[str, Callable[[AlgebraContext, SplitMix64], Optional[str
 
 def run_suite(k: object = -1, trials: int = 1000, seed: int = 0) -> list[PropertyReport]:
     """Run every property ``trials`` times; reports in fixed order."""
-    ctx = AlgebraContext(as_coeff(k))
+    ctx = AlgebraContext(k)
     property_seeds = SplitMix64(seed)
     reports: list[PropertyReport] = []
     for name, check in _PROPERTIES:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "AlgebraError",
@@ -75,6 +75,13 @@ def check_symbol(name: object) -> str:
     if not isinstance(name, str) or not SYMBOL_RE.fullmatch(name):
         raise InvalidSymbolError(f"symbol name must match {SYMBOL_RE.pattern}: {name!r}")
     return name
+
+
+def _check_symbols(names: Iterable[object]) -> Iterator[str]:
+    """Each name through :func:`check_symbol`, lazily; a bare ``str`` is refused at once."""
+    if isinstance(names, str):
+        raise TypeError(f"expected a sequence of symbol names, not the string {names!r}")
+    return map(check_symbol, names)
 
 
 def as_coeff(value: object) -> Coefficient:
@@ -265,7 +272,7 @@ def from_symbols(names: Iterable[str]) -> AaaElement:
 
     Duplicate names accumulate, so ``["a", "a"]`` gives ``+2a``.
     """
-    return _build(((check_symbol(name),), 1) for name in names)
+    return _build(((name,), 1) for name in _check_symbols(names))
 
 
 def make_element(
@@ -293,11 +300,11 @@ def make_element(
         ((d1, d2), dc, "d1/d2/dc"),
         ((t1, t2, t3), tc, "t1/t2/t3/tc"),
     ):
-        cols = [list(c) for c in cols]
+        cols = [c if isinstance(c, str) else list(c) for c in cols]  # a str is refused below
         coeffs = list(coeffs)
         if any(len(c) != len(coeffs) for c in cols):
             raise LengthMismatchError(f"parallel lists {what} must have equal lengths")
-        pairs += zip(zip(*[map(check_symbol, c) for c in cols]), map(as_coeff, coeffs))
+        pairs += zip(zip(*map(_check_symbols, cols)), map(as_coeff, coeffs))
     return _build(pairs)
 
 

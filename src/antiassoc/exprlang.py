@@ -15,7 +15,7 @@ tighter than ``*``::
 
     expr    := term (('+' | '-') term)*
     term    := unary ('*' unary)*
-    unary   := '-' unary | atom
+    unary   := '-'* atom
     atom    := NUMBER | NAME | NAME '(' args ')' | '(' expr ')'
     args    := arg (',' arg)* | nothing
     arg     := NAME '=' kwvalue | expr
@@ -34,6 +34,7 @@ Keyword arguments name term-key columns (``s1``, ``d1``, ``d2``,
 variables.  ``replace(e, v, ...)`` takes the new coefficient as its
 second positional argument, and ``set_*(e, 0)`` clears a degree.
 ``raaa()`` draws at most :data:`MAX_RAAA_TERMS` terms per degree.
+Grouping and call parentheses nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -165,6 +166,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.tok = tokens[0]
+        self.depth = 0  # '(' levels open around the current token
 
     def advance(self) -> Token:
         """Return the current token ``tok`` and move on; 'end' is never passed."""
@@ -251,33 +253,40 @@ class _Parser:
         return op.pos, _product(first[1], rest)
 
     def unary(self) -> tuple[int, Callable]:
-        tok = self.tok
-        if tok.kind == "-":
+        # '-'* atom: a loop, then the atom in this frame, so nesting costs few frames.
+        minus = self.tok
+        odd = False
+        while self.tok.kind == "-":
             self.advance()
-            return tok.pos, _negation(self.unary()[1])
-        return self.atom()
-
-    def atom(self) -> tuple[int, Callable]:
+            odd = not odd
         tok = self.tok
         if tok.kind == "number":
             self.advance()
             value = tok.value
-            return tok.pos, lambda env: value
-        if tok.kind == "name":
+            node = tok.pos, lambda env: value
+        elif tok.kind == "name":
             self.advance()
             if self.tok.kind == "(":
-                self.advance()
-                call = _Call(tok.text, tok.pos, *self.call_args())
-                self.expect(")")
-                return tok.pos, lambda env: _call(call, env)
-            return tok.pos, _variable(tok.text, tok.pos)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
+                call = _Call(tok.text, tok.pos, *self.nested(self.call_args))
+                node = tok.pos, lambda env: _call(call, env)
+            else:
+                node = tok.pos, _variable(tok.text, tok.pos)
+        else:
+            node = self.nested(self.expr)
+        if minus is tok:
             return node
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ExprSyntaxError(f"expected an expression, found {found}", tok.pos)
+        return minus.pos, _negation(node[1]) if odd else node[1]
+
+    def nested(self, read: Callable):
+        """Read '(', ``read()`` one level deeper and ')'; nothing else starts an atom."""
+        tok = self.expect("(", "an expression")
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", tok.pos)
+        self.depth += 1
+        inner = read()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
     def call_args(self) -> tuple[tuple, tuple]:
         args: list[tuple[int, Callable]] = []
@@ -396,12 +405,10 @@ def parse_program(src: str) -> list[Callable]:
     :class:`Env` and returns None for ``sym`` and ``let``, an element for
     an expression and a bool for an equality.  Only syntax errors are
     raised here; evaluation errors are raised when a statement runs.
-    Parsing is recursive descent, so input nested past the interpreter's
-    recursion limit raises ``RecursionError``, not an :class:`ExprError`:
-    at the default limit, a little under 250 nested parentheses or 1,000
-    unary minuses.  ``aaa`` reports it as
-    ``line N: expression nested too deeply``.  A flat chain such as
-    ``a+b-c`` or ``a*b*c`` is not nested, and may be of any length.
+    Parentheses, grouping or a call's, nest at most :data:`MAX_NESTING`
+    deep: the '(' that opens one level more is an :class:`ExprSyntaxError`.
+    A chain such as ``a+b-c`` or ``a*b*c``, or a run of unary minuses, is
+    not nesting, and may be of any length.
     """
     return _Parser(tokenize(src)).parse_program()
 
@@ -469,6 +476,9 @@ def _eval_replace(call: _Call, env: Env) -> AaaElement:
 
 # Per degree, so that no line runs without limit; rng.raaa itself is not capped.
 MAX_RAAA_TERMS = 100_000
+# Levels of '(', grouping or a call's: the deepest input parses and runs within
+# the default recursion limit even when called from 400 frames deep.
+MAX_NESTING = 100
 
 
 def _eval_raaa(call: _Call, env: Env) -> AaaElement:
@@ -528,9 +538,7 @@ def run_program(src: str, env: Env) -> list:
 
     Returns one result per statement (see :func:`parse_program`).  A
     syntax error anywhere in ``src`` runs none of it; an evaluation error
-    stops the run, and the bindings made before it stay in ``env``.  Input
-    nested past the interpreter's recursion limit raises ``RecursionError``,
-    not an :class:`ExprError`; ``aaa`` reports it as
-    ``line N: expression nested too deeply``.
+    stops the run, and the bindings made before it stay in ``env``.  Only
+    :class:`ExprError` is raised, however deep the input is nested.
     """
     return [run(env) for run in parse_program(src)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import AaaElement, AlgebraError, _build, check_symbol
+from .core import AaaElement, AlgebraError, _build, _check_symbols
 
 __all__ = [
     "EmptyAlphabetError",
@@ -99,7 +99,7 @@ def raaa(
     can exceed the range maximum.  The same seed (with the same
     arguments) gives the same element everywhere.
     """
-    alphabet = tuple(check_symbol(s) for s in alphabet)
+    alphabet = tuple(_check_symbols(alphabet))
     if not alphabet:
         raise EmptyAlphabetError("alphabet must contain at least one symbol")
     if min(n1, n2, n3) < 0:

@@ -91,10 +91,12 @@ class TestEval:
         assert proc.stdout == "+5000a\n"
 
     def test_deep_nesting_exits_2(self):
-        for deep in ("(" * 3000 + "a" + ")" * 3000, "-" * 3000 + "a"):
-            proc = run_cli("eval", stdin=f"sym a\n{deep}\n")
-            assert proc.returncode == 2
-            assert proc.stderr == "line 2: expression nested too deeply\n"
+        proc = run_cli("eval", stdin="sym a\n" + "(" * 3000 + "a" + ")" * 3000 + "\n")
+        assert proc.returncode == 2
+        assert proc.stderr == "line 2: col 101: expression nested too deeply\n"
+        proc = run_cli("eval", stdin="sym a\n" + "-" * 3000 + "a\n")
+        assert proc.returncode == 0
+        assert proc.stdout == "+1a\n"
 
     def test_number_over_the_digit_limit_exits_2(self):
         proc = run_cli("eval", f"sym a; {'9' * (sys.get_int_max_str_digits() + 1)}*a")

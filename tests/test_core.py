@@ -14,11 +14,13 @@ from antiassoc import (
     add,
     as_coeff,
     check_symbol,
+    extract_matrix,
     from_symbols,
     make_element,
     mul,
     neg,
     parse,
+    raaa,
     scalar_mul,
     serialize,
     sub,
@@ -50,6 +52,21 @@ class TestSymbols:
     def test_non_string(self):
         with pytest.raises(InvalidSymbolError):
             check_symbol(3)
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            pytest.param(lambda: from_symbols("foo"), "foo", id="from_symbols"),
+            pytest.param(lambda: make_element(s1="ab", sc=[1, 2]), "ab", id="make_element"),
+            pytest.param(lambda: KeySelector(s1="ce"), "ce", id="KeySelector"),
+            pytest.param(lambda: extract_matrix(zero(), ["ab"]), "ab", id="extract_matrix"),
+            pytest.param(lambda: raaa(1, alphabet="pq"), "pq", id="raaa"),
+        ],
+    )
+    def test_bare_string_is_not_a_list_of_symbols(self, call, text):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == f"expected a sequence of symbol names, not the string {text!r}"
 
 
 class TestCoefficients:

@@ -179,6 +179,33 @@ class TestTokenizeAgainstReference:
         assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_tokenize, src)
 
 
+_NESTINGS = [("(", ")"), ("-(", ")"), ("single(", ")"), ("set_single(a, ", ")"), ("-", "")]
+
+
+@st.composite
+def _deeply_nested_statement(draw):
+    """A statement inside 0 to 3,000 levels, each drawn from ``_NESTINGS`` in a cycle."""
+    inner = draw(st.one_of(st.sampled_from(["a", "2", "a*a", "-a", "q"]), _mutated_statement()))
+    cycle = draw(st.lists(st.sampled_from(_NESTINGS), min_size=1, max_size=4))
+    levels = [cycle[i % len(cycle)] for i in range(draw(st.integers(0, 3000)))]
+    prefix = draw(st.sampled_from(["", "sym a; ", "sym a; let z = "]))
+    opens = "".join(open_ for open_, _ in levels)
+    return prefix + opens + inner + "".join(close for _, close in reversed(levels))
+
+
+def _call_at_depth(depth, fn):
+    """Call ``fn()`` with ``depth`` frames on the stack below it."""
+    frame, below = sys._getframe(), 0
+    while frame is not None:
+        below += 1
+        frame = frame.f_back
+
+    def down(n):
+        return fn() if n == 0 else down(n - 1)
+
+    return down(depth - below - 1)
+
+
 class TestFuzz:
     @given(st.text())
     def test_only_expr_errors_escape(self, src):
@@ -187,6 +214,29 @@ class TestFuzz:
                 step(src)
             except ExprError:
                 pass
+
+    @given(_deeply_nested_statement())
+    def test_only_expr_errors_escape_at_any_depth(self, src):
+        for step in (parse_program, lambda text: run_program(text, Env())):
+            try:
+                step(src)
+            except ExprError:
+                pass
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            pytest.param("sym a; " + "(" * 100 + "a" + ")" * 100, id="group"),
+            pytest.param("sym a; " + "-(" * 100 + "a" + ")" * 100, id="negated-group"),
+            pytest.param("sym a; " + "single(" * 100 + "a" + ")" * 100, id="single"),
+            pytest.param("sym a; " + "set_single(a, " * 100 + "a" + ")" * 100, id="set_single"),
+            pytest.param("sym a; " + "extract(" * 100 + "a" + ", s1=a)" * 100, id="extract"),
+            pytest.param("sym a; let z = " + "single(" * 100 + "a" + ")" * 100 + "; z", id="let"),
+        ],
+    )
+    def test_deepest_nesting_runs_from_a_deep_stack(self, src):
+        results = _call_at_depth(400, lambda: run_program(src, Env()))
+        assert serialize(results[-1]) == "+1a"
 
 
 class TestParse:
@@ -230,6 +280,10 @@ class TestParse:
 
     def test_trailing_semicolons_ignored(self):
         assert len(parse_program(";;sym a;;")) == 1
+
+    def test_a_run_of_minuses_negates_once_or_not_at_all(self):
+        assert serialize(eval_one("sym a; " + "-" * 3000 + "a")) == "+1a"
+        assert serialize(eval_one("sym a; " + "-" * 3001 + "a")) == "-1a"
 
     @pytest.mark.parametrize(
         "src",
@@ -429,6 +483,10 @@ class TestErrors:
             ("sym a; set_single(a, 5)", EvalError,
              "replacement must be an element or the literal 0", 8),
             ("raaa(n1=100000000000)", EvalError, "'n1' must be at most 100000", 9),
+            ("(" * 101 + "a" + ")" * 101, ExprSyntaxError, "expression nested too deeply", 101),
+            ("single(" * 101 + "a" + ")" * 101, ExprSyntaxError,
+             "expression nested too deeply", 707),
+            ("let v = --2", ScalarOperandError, NOT_ELEMENT, 9),
         ],
     )
     def test_error_table(self, src, cls, message, pos):

@@ -4,6 +4,7 @@ import pytest
 
 from antiassoc import (
     DEFAULT_CONTEXT,
+    AaaElement,
     AlgebraContext,
     InvalidSymbolError,
     mul,
@@ -124,3 +125,43 @@ class TestNaiveMul:
         assert naive_mul(-1, a, mul(DEFAULT_CONTEXT, b, c)) == mul(
             DEFAULT_CONTEXT, a, mul(DEFAULT_CONTEXT, b, c)
         )
+
+
+def _restricted_growth_strings(n):
+    """Every set partition of n positions, each as its restricted growth string."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def _basis(key):
+    """The basis term with this key and coefficient 1."""
+    return AaaElement(*({key: 1} if len(key) == degree else {} for degree in (1, 2, 3)))
+
+
+class TestBasisProducts:
+    def test_mul_matches_oracle_on_every_basis_pair(self):
+        """``mul`` agrees with the oracle on every pair of basis terms, up to renaming.
+
+        Both products are bilinear, so agreeing on every pair of basis terms
+        is agreeing on every pair of elements.  Neither looks at a symbol
+        except to compare it with another, so a pair of keys of degrees p and
+        q needs checking once per equality pattern among its p+q symbols: a
+        set partition, named here by a restricted growth string.  That gives
+        the sum of Bell(p+q) over p, q in {1, 2, 3}: 364 pairs.  Each basis
+        product is c*K**e with e in {0, 1}, so two values of K already settle
+        every rational K; five also catch a product of degree up to 4 in K.
+        Sums, and cancellation between their terms, are still covered by the
+        sampled suites.
+        """
+        pairs = 0
+        for p in (1, 2, 3):
+            for q in (1, 2, 3):
+                for rgs in _restricted_growth_strings(p + q):
+                    names = tuple("abcdef"[i] for i in rgs)
+                    u, v = _basis(names[:p]), _basis(names[p:])
+                    for k in (-1, 0, 1, 2, Fraction(1, 2)):
+                        assert mul(AlgebraContext(k), u, v) == naive_mul(k, u, v), (k, names)
+                    pairs += 1
+        assert pairs == 364
