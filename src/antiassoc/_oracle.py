@@ -62,7 +62,7 @@ def normalize(k: object, tree: Tree, coeff: object = 1) -> AaaElement:
     if key is None:
         return zero()
     key = tuple(map(check_symbol, key))
-    return _build([(key, as_coeff(coeff) * as_coeff(k) ** power)])
+    return _build([(key, as_coeff(as_coeff(coeff) * as_coeff(k) ** power))])
 
 
 def _term_tree(key: TermKey) -> Tree:
@@ -77,7 +77,9 @@ def _term_tree(key: TermKey) -> Tree:
 def naive_mul(k: object, a: AaaElement, b: AaaElement) -> AaaElement:
     """Product computed term pair by term pair through tree rewriting."""
     k = as_coeff(k)
-    a_trees = [(_term_tree(key), coeff) for key, coeff in a.terms()]
-    b_trees = [(_term_tree(key), coeff) for key, coeff in b.terms()]
-    combed = ((_combed(Node(ta, tb)), ca, cb) for ta, ca in a_trees for tb, cb in b_trees)
-    return _build((key, ca * cb * k**power) for (key, power), ca, cb in combed if key is not None)
+    a_trees = [(_term_tree(key), len(key), coeff) for key, coeff in a.terms()]
+    b_trees = [(_term_tree(key), len(key), coeff) for key, coeff in b.terms()]
+    # A pair whose degrees sum to 4 or more is one that _combed sends to zero: skip it.
+    pairs = ((ta, tb, ca * cb) for ta, da, ca in a_trees for tb, db, cb in b_trees if da + db < 4)
+    combed = ((_combed(Node(ta, tb)), c) for ta, tb, c in pairs)
+    return _build((key, as_coeff(c * k**power)) for (key, power), c in combed if key is not None)

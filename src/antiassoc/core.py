@@ -87,8 +87,9 @@ def _check_symbols(names: Iterable[object]) -> Iterator[str]:
 def as_coeff(value: object) -> Coefficient:
     """Coerce to an exact coefficient: an int, or a Fraction in lowest terms.
 
-    Accepts ints, Fractions and rational text like ``"3/2"``.  Floats and
-    bools are rejected: coefficients must be exact numbers.  The result is
+    Accepts ints, Fractions and rational text like ``"-3/2"``: a full match
+    of ``[+-]?[0-9]+(?:/[0-9]+)?``.  Floats and bools are rejected:
+    coefficients must be exact numbers.  The result is
     exactly an ``int`` or a ``Fraction``, never a subclass, so ``str()``
     prints it in canonical form.
     """
@@ -102,9 +103,11 @@ def as_coeff(value: object) -> Coefficient:
         return int(value)
     if isinstance(value, str):
         try:
-            return as_coeff(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+            if re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", value):
+                return as_coeff(Fraction(value))
+        except (ValueError, ZeroDivisionError):  # "n/0", or more digits than int() reads
+            pass
+        raise ValueError(f"not a rational literal: {value!r}")
     raise TypeError(
         "coefficients must be exact rationals "
         f"(int, Fraction or 'n/d' text), not {type(value).__name__}"
@@ -310,8 +313,7 @@ def make_element(
 
 def _checked_term(name: str, degree: int, key: object, value: object) -> tuple:
     """A checked ``(key, coefficient)`` pair from the ``name`` map given to ``AaaElement``."""
-    if isinstance(key, str):
-        raise LengthMismatchError(f"term keys must be symbol tuples, got the string {key!r}")
+    _check_symbols(key)  # refuses a bare str; each name is checked after the degree
     key = tuple(key)
     if len(key) != degree:
         raise LengthMismatchError(f"{name} key {key!r} does not have degree {degree}")
@@ -319,38 +321,42 @@ def _checked_term(name: str, degree: int, key: object, value: object) -> tuple:
 
 
 def _build(pairs: Iterable[tuple[TermKey, Coefficient]]) -> AaaElement:
-    """Sum checked ``(key, coefficient)`` pairs into an element.
+    """Sum checked, normalized ``(key, coefficient)`` pairs into an element.
 
-    A key's first coefficient is stored as is, not as ``0 + coefficient``.
+    A key's first coefficient is stored as is; only a sum is normalized.
     """
     maps: tuple[dict, dict, dict] = ({}, {}, {})
     for key, coeff in pairs:
         m = maps[len(key) - 1]
-        total = m[key] + coeff if key in m else coeff
-        if total:
-            m[key] = total
+        if key in m:
+            coeff = m[key] + coeff
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+        if coeff:
+            m[key] = coeff
         else:
             m.pop(key, None)
-    return AaaElement._trusted(*map(_ints, maps))
+    return AaaElement._trusted(*maps)
 
 
-def _ints(m: dict) -> dict:
-    """``m`` with its integral Fractions turned into ints, in place."""
+def _ints(m: dict) -> None:
+    """Turn the integral Fractions in ``m`` into ints, in place."""
     for key, c in m.items():
         if type(c) is not int and c.denominator == 1:
             m[key] = c.numerator
-    return m
 
 
 def _merged(x: Mapping, y: Mapping) -> dict:
     out = dict(x)
     for key, coeff in y.items():
         total = out.get(key, 0) + coeff
+        if type(total) is not int and total.denominator == 1:
+            total = total.numerator
         if total:
             out[key] = total
         else:
             del out[key]
-    return _ints(out)
+    return out
 
 
 def add(a: AaaElement, b: AaaElement) -> AaaElement:
@@ -379,11 +385,10 @@ def scalar_mul(c: object, a: AaaElement) -> AaaElement:
     c = as_coeff(c)
     if not c:
         return zero()
-    return AaaElement._trusted(
-        _ints({k: c * v for k, v in a.singles.items()}),
-        _ints({k: c * v for k, v in a.doubles.items()}),
-        _ints({k: c * v for k, v in a.triples.items()}),
-    )
+    maps = [{k: c * v for k, v in m.items()} for m in a._values()]
+    for m in maps:
+        _ints(m)
+    return AaaElement._trusted(*maps)
 
 
 def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
@@ -399,22 +404,22 @@ def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
     """
     # Keys within each of the first two blocks are distinct, so those
     # blocks assign; only the K block can meet keys already present.
-    doubles: dict = {}
-    for (i,), ca in a.singles.items():
-        for (j,), cb in b.singles.items():
-            doubles[i, j] = ca * cb
-    triples: dict = {}
-    for (i, j), ca in a.doubles.items():
-        for (last,), cb in b.singles.items():
-            triples[i, j, last] = ca * cb
+    doubles = {i + j: ca * cb for i, ca in a.singles.items() for j, cb in b.singles.items()}
+    triples = {ij + x: ca * cb for ij, ca in a.doubles.items() for x, cb in b.singles.items()}
     k = ctx.k
     if k:
-        for (i,), ca in a.singles.items():
-            for (j, last), cb in b.doubles.items():
-                key = (i, j, last)
-                total = triples.get(key, 0) + k * ca * cb
+        for i, ca in a.singles.items():
+            kca = k * ca
+            for jl, cb in b.doubles.items():
+                key = i + jl
+                total = triples.get(key, 0) + kca * cb
                 if total:
                     triples[key] = total
                 else:
                     del triples[key]
-    return AaaElement._trusted({}, _ints(doubles), _ints(triples))
+    # Products and sums of ints are ints: only a Fraction operand or K calls for the walk.
+    operands = (a.singles, a.doubles, b.singles, b.doubles)
+    if type(k) is not int or any(type(c) is not int for m in operands for c in m.values()):
+        _ints(doubles)
+        _ints(triples)
+    return AaaElement._trusted({}, doubles, triples)

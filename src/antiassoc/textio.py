@@ -54,12 +54,16 @@ def serialize(element: AaaElement) -> str:
     Magnitudes are printed by ``str()``, which raises ``ValueError`` for an
     int longer than ``sys.get_int_max_str_digits()`` (4300 by default).
     """
-    terms = [f"{'' if c < 0 else '+'}{c}{i}" for (i,), c in sorted(element.singles.items())]
-    terms += [f"{'' if c < 0 else '+'}{c}{i}.{j}" for (i, j), c in sorted(element.doubles.items())]
-    terms += [
-        f"{'' if c < 0 else '+'}{c}({i}.{j}){k}"
-        for (i, j, k), c in sorted(element.triples.items())
-    ]
+    terms: list[str] = []
+    for texts in (
+        {i: c for (i,), c in element.singles.items()},
+        {f"{i}.{j}": c for (i, j), c in element.doubles.items()},
+        {f"({i}.{j}){k}": c for (i, j, k), c in element.triples.items()},
+    ):
+        # Key texts sort in their tuples' order: '.' and ')' sort below every character
+        # of SYMBOL_RE, so a symbol sorts before the symbols it begins.  The sign is read
+        # from the coefficient's text, which is cheaper than a Fraction's ``c < 0``.
+        terms += [s + t if (s := str(texts[t]))[0] == "-" else f"+{s}{t}" for t in sorted(texts)]
     return " ".join(terms) or "0"
 
 
@@ -99,7 +103,8 @@ def parse(text: str) -> AaaElement:
             _diagnose(text, last)
         sign, num, den, t1, t2, t3, s1, s2 = m.groups()
         try:
-            coeff = int(sign + num) if den is None else Fraction(int(sign + num), int(den))
+            n, d = int(sign + num), int(den or 1)
+            coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int
         except (ValueError, ZeroDivisionError):  # over the digit limit, or "/0"
             _diagnose(text, i)
         pairs.append(((t1, t2, t3) if t1 else (s1, s2) if s2 else (s1,), coeff))

@@ -142,6 +142,11 @@ class TestEval:
         proc = run_cli("eval", "--bogus", "sym a; a")
         assert proc.returncode == 64
 
+    def test_k_outside_the_literal_grammar_exits_64(self):
+        proc = run_cli("eval", "--k", "1.5", "sym a; a")
+        assert proc.returncode == 64
+        assert proc.stderr.endswith("aaa: error: invalid rational for --k: '1.5'\n")
+
     def test_unknown_subcommand_exits_64(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 64

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,20 @@ class TestCoefficients:
     def test_bad_text(self):
         with pytest.raises(ValueError):
             as_coeff("3/0")
+
+    @pytest.mark.parametrize("text", ["1.5", "1_000", " 3 ", "1e2", "3/-2", "+-3", "", "\u0663"])
+    def test_text_outside_the_literal_grammar(self, text):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            as_coeff(text)
+
+    def test_huge_exponent_is_refused_at_once(self):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="not a rational literal"):
+                AlgebraContext("1e1000000")
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1e-3
 
     def test_subclasses_become_plain_types(self):
         class Loud(int):
@@ -317,8 +332,8 @@ class TestCheckedConstructor:
     @pytest.mark.parametrize(
         "maps, error, message",
         [
-            (({"a": 1}, {}, {}), LengthMismatchError,
-             "term keys must be symbol tuples, got the string 'a'"),
+            (({"a": 1}, {}, {}), TypeError,
+             "expected a sequence of symbol names, not the string 'a'"),
             (({("a", "b"): 1}, {}, {}), LengthMismatchError,
              "singles key ('a', 'b') does not have degree 1"),
             (({}, {}, {("a", "b"): 1}), LengthMismatchError,

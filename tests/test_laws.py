@@ -32,7 +32,7 @@ from antiassoc import (
     triple,
     zero,
 )
-from antiassoc._oracle import naive_mul
+from antiassoc._oracle import Leaf, Node, naive_mul, normalize
 from antiassoc.access import d1, d2, dc, s1, sc, t1, t2, t3, tc
 from antiassoc.checks import random_rational_element
 
@@ -232,6 +232,41 @@ def test_integral_results_are_ints():
         assert type(r.terms()[0][1]) is int and r.terms()[0][0] == key
 
 
+# Each entry (key, c, n) gives a key two nonzero coefficients, c and n - c, whose sum n is an int.
+split_terms = st.lists(
+    st.tuples(_key(2), coeffs.filter(bool), st.integers(-2, 2)).filter(lambda t: t[1] != t[2]),
+    max_size=6,
+)
+
+
+@given(mixed_elements, mixed_elements, trusted_contexts, split_terms)
+def test_fraction_arithmetic_yields_clean_coefficients(u, v, ctx, terms):
+    pairs = [(key, c) for key, c, n in terms] + [(key, n - c) for key, c, n in terms]
+    text = " ".join(serialize(make_element(d1=[i], d2=[j], dc=[c])) for (i, j), c in pairs)
+    results = [
+        naive_mul(ctx.k, u, v),
+        scalar_mul(2, u),
+        make_element(
+            d1=[i for (i, _), _ in pairs], d2=[j for (_, j), _ in pairs], dc=[c for _, c in pairs]
+        ),
+        parse(text) if text else zero(),
+    ]
+    for r in results:
+        _assert_clean(r)
+
+
+def test_integral_sums_and_literals_are_ints():
+    cases = [
+        parse("+1/2a +1/2a"),
+        parse("+4/2a"),
+        make_element(s1=["a", "a"], sc=["1/2", "1/2"]),
+        normalize(Fraction(1, 2), Node(Leaf("a"), Node(Leaf("b"), Leaf("c"))), 2),
+    ]
+    for r in cases:
+        _assert_clean(r)
+        assert type(r.terms()[0][1]) is int
+
+
 def _render_term_by_term(e):
     """Reference rendering: each term's sign, then ``n`` or ``n/d``, then its key."""
     out = []
@@ -254,3 +289,17 @@ def _render_term_by_term(e):
 def test_serialize_matches_term_by_term_rendering(e, c, big):
     for x in (e, scalar_mul(c, e), scalar_mul(big, e)):
         assert serialize(x) == _render_term_by_term(x)
+
+
+# Symbols where one begins another, so '.' and ')' in a key's text meet symbol characters.
+PREFIX_SYMS = st.sampled_from(["a", "aa", "a_", "a0", "a9", "A", "Z", "_", "_a", "b"])
+prefix_elements = st.builds(
+    AaaElement,
+    *(st.dictionaries(st.tuples(*[PREFIX_SYMS] * w), coeffs, max_size=12) for w in (1, 2, 3)),
+)
+
+
+@given(prefix_elements)
+def test_text_order_is_tuple_order_on_prefix_heavy_symbols(e):
+    assert serialize(e) == _render_term_by_term(e)
+    assert parse(serialize(e)) == e
