@@ -33,7 +33,8 @@ Keyword arguments name term-key columns (``s1``, ``d1``, ``d2``,
 ``t1``, ``t2``, ``t3``); their values are symbol names, never
 variables.  ``replace(e, v, ...)`` takes the new coefficient as its
 second positional argument, and ``set_*(e, 0)`` clears a degree.
-``raaa()`` draws at most :data:`MAX_RAAA_TERMS` terms per degree.
+``raaa()`` draws at most :data:`MAX_RAAA_TERMS` terms per degree, and one
+``*`` of two elements forms at most :data:`MAX_PRODUCT_TERMS` term products.
 Grouping and call parentheses nest at most :data:`MAX_NESTING` deep.
 """
 
@@ -249,7 +250,7 @@ class _Parser:
         rest = []
         while self.tok.kind == "*":
             op = self.advance()
-            rest.append(self.unary())
+            rest.append((op.pos, *self.unary()))
         return op.pos, _product(first[1], rest)
 
     def unary(self) -> tuple[int, Callable]:
@@ -383,16 +384,29 @@ def _linear(first: tuple[int, Callable], rest: list[tuple[bool, int, Callable]])
     return run
 
 
-def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
-    """Element times element is ``mul``; a number as the left factor scales."""
+def _product(first: Callable, rest: list[tuple[int, int, Callable]]) -> Callable:
+    """Element times element is ``mul``; a number as the left factor scales.
+
+    ``rest`` holds (column of '*', column of the factor, run) per factor.
+    """
 
     def run(env):
         x = first(env)
-        for pos, value_of in rest:
+        for star, pos, value_of in rest:
             y = value_of(env)
             if not isinstance(y, AaaElement):
                 raise ScalarOperandError("a number may only appear as the left factor of '*'", pos)
-            x = mul(env.context, x, y) if isinstance(x, AaaElement) else scalar_mul(x, y)
+            if not isinstance(x, AaaElement):
+                x = scalar_mul(x, y)
+                continue
+            # mul pairs singles with singles, doubles with singles, singles with doubles
+            n1 = len(x.singles)
+            pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)
+            if pairs > MAX_PRODUCT_TERMS:
+                raise EvalError(
+                    f"'*' would form {pairs} term products, more than {MAX_PRODUCT_TERMS}", star
+                )
+            x = mul(env.context, x, y)
         return x
 
     return run
@@ -476,6 +490,10 @@ def _eval_replace(call: _Call, env: Env) -> AaaElement:
 
 # Per degree, so that no line runs without limit; rng.raaa itself is not capped.
 MAX_RAAA_TERMS = 100_000
+# Term products per '*', so that no line runs without limit; core.mul itself is
+# not capped.  2e6 products of distinct singles took about 1.2 s and 200 MB
+# (CPython 3.11, shared 2-CPU machine); eval_large's largest forms 129,600.
+MAX_PRODUCT_TERMS = 2_000_000
 # Levels of '(', grouping or a call's: the deepest input parses and runs within
 # the default recursion limit even when called from 400 frames deep.
 MAX_NESTING = 100

@@ -1,17 +1,19 @@
 """Deterministic pseudorandom elements.
 
 The generator is xoshiro256** seeded through SplitMix64 (the public
-domain algorithms of Blackman and Vigna), implemented in pure integer
-arithmetic so a given seed yields the same element on every platform.
+domain algorithms of Blackman and Vigna), one Python generator over four
+local ints, so a given seed yields the same element on every platform.
 
 :func:`raaa` consumes the stream in a fixed order: for each requested
 term, its symbols left to right, then its coefficient.  Degree-1 terms
-are drawn first, then degree-2, then degree-3.
+come first, then degree-2, then degree-3, in blocks of ``_BLOCK_TERMS``
+terms, so its memory does not grow with the counts.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from .core import AaaElement, AlgebraError, _build, _check_symbols
 
@@ -41,8 +43,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & _MASK64
+def _xoshiro256starstar(s0: int, s1: int, s2: int, s3: int) -> Iterator[int]:
+    """The xoshiro256** outputs from state ``(s0, s1, s2, s3)``, without end."""
+    mask = _MASK64
+    s0, s1, s2, s3 = s0 & mask, s1 & mask, s2 & mask, s3 & mask
+    while True:
+        x = s1 * 5 & mask
+        yield (x << 7 | x >> 57) * 9 & mask  # rotl(x, 7) * 9; the mask drops bits 64 and up
+        t = s1 << 17 & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & mask
 
 
 class Xoshiro256StarStar:
@@ -50,30 +64,20 @@ class Xoshiro256StarStar:
 
     The four state words come from successive SplitMix64 outputs, which
     can never all be zero (the mixing function is a bijection, so only
-    one input maps to zero).
+    one input maps to zero).  ``next_u64`` is ``stream.__next__``.
     """
 
     def __init__(self, seed: int):
-        sm = SplitMix64(seed)
-        self._s = [sm.next_u64() for _ in range(4)]
+        word = SplitMix64(seed).next_u64
+        self.stream = _xoshiro256starstar(word(), word(), word(), word())
+        self.next_u64 = self.stream.__next__
 
     @classmethod
     def from_state(cls, s0: int, s1: int, s2: int, s3: int) -> Xoshiro256StarStar:
         rng = cls.__new__(cls)
-        rng._s = [s0 & _MASK64, s1 & _MASK64, s2 & _MASK64, s3 & _MASK64]
+        rng.stream = _xoshiro256starstar(s0, s1, s2, s3)
+        rng.next_u64 = rng.stream.__next__
         return rng
-
-    def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
 
     def below(self, n: int) -> int:
         """Uniform-ish draw in [0, n); plain modulo, bias irrelevant here."""
@@ -81,6 +85,7 @@ class Xoshiro256StarStar:
 
 
 DEFAULT_ALPHABET = ("a", "b", "c", "d")
+_BLOCK_TERMS = 256  # its set-up is negligible, its peak memory a few kB
 
 
 def raaa(
@@ -107,10 +112,19 @@ def raaa(
     lo, hi = coeff_range
     if not (isinstance(lo, int) and isinstance(hi, int)) or not 1 <= lo <= hi:
         raise ValueError("coeff_range must be integers with 1 <= lo <= hi")
-    rng = Xoshiro256StarStar(seed)
-    span = hi - lo + 1
-    return _build(
-        (tuple(alphabet[rng.below(len(alphabet))] for _ in range(width)), lo + rng.below(span))
-        for width, count in ((1, n1), (2, n2), (3, n3))
-        for _ in range(count)
-    )
+    draws = Xoshiro256StarStar(seed).stream
+    s, n, span = alphabet, len(alphabet), hi - lo + 1
+
+    def blocks():  # zip takes its arguments' next draws left to right
+        for done in range(0, n1, _BLOCK_TERMS):
+            d = islice(draws, 2 * min(n1 - done, _BLOCK_TERMS))
+            yield [((s[a % n],), lo + c % span) for a, c in zip(d, d)]
+        for done in range(0, n2, _BLOCK_TERMS):
+            d = islice(draws, 3 * min(n2 - done, _BLOCK_TERMS))
+            yield [((s[a % n], s[b % n]), lo + c % span) for a, b, c in zip(d, d, d)]
+        for done in range(0, n3, _BLOCK_TERMS):
+            d = islice(draws, 4 * min(n3 - done, _BLOCK_TERMS))
+            yield [((s[a % n], s[b % n], s[e % n]), lo + c % span)
+                   for a, b, e, c in zip(d, d, d, d)]
+
+    return _build(chain.from_iterable(blocks()))

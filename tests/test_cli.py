@@ -138,6 +138,22 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stderr == "line 1: col 9: 'n1' must be at most 100000\n"
 
+    @pytest.mark.parametrize("statement, col", [("let v = u*u", 16950), ("(u*u)*u", 16943)])
+    def test_product_over_the_budget_exits_2_at_once(self, statement, col):
+        # u has 1,909 distinct singles, so u*u would form 3,644,281 term products
+        alphabet = ",".join(f"x{i}" for i in range(3000))
+        line = f"let u = raaa(1, alphabet=({alphabet}), n1=3000, n2=0, n3=0); {statement}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "antiassoc", "eval", line],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"line 1: col {col}: '*' would form 3644281 term products, more than 2000000\n"
+        )
+
     def test_unknown_flag_exits_64(self):
         proc = run_cli("eval", "--bogus", "sym a; a")
         assert proc.returncode == 64

@@ -507,6 +507,19 @@ class TestErrors:
         stream.next_u64(), stream.next_u64()
         assert env.next_seed() == stream.next_u64()
 
+    def test_product_budget_counts_term_pairs(self, monkeypatch):
+        monkeypatch.setattr(exprlang, "MAX_PRODUCT_TERMS", 4)
+        env = Env()
+        run_program("sym a b; let s = a + b", env)
+        # at the cap, and a number as the left factor is not counted
+        assert serialize(eval_one("2*s*s", env)) == "+2a.a +2a.b +2b.a +2b.b"
+        for src, pos in [("s*s*s", 4), ("s*(s*s)", 2)]:
+            with pytest.raises(EvalError) as err:
+                run_program(src, env)
+            assert (err.value.message, err.value.pos) == (
+                "'*' would form 8 term products, more than 4", pos
+            )
+
     def test_replace_runs_the_value_first(self):
         with pytest.raises(UnboundVariableError) as err:
             eval_one("replace(p, q, s1=a)")

@@ -1,6 +1,11 @@
-import pytest
+import hashlib
+import tracemalloc
 
-from antiassoc import EmptyAlphabetError, serialize, zero
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from antiassoc import AaaElement, EmptyAlphabetError, serialize, zero
 from antiassoc.checks import random_rational_element
 from antiassoc.rng import SplitMix64, Xoshiro256StarStar, raaa
 
@@ -38,6 +43,13 @@ RAAA_0_TEXT = (
     "+8a +5b +1a.a +1a.b +3a.c +3b.a +1d.a "
     "+3(a.c)b +2(b.c)d +2(b.d)d +4(d.a)b +4(d.d)b"
 )
+
+# sha256 of serialize(raaa(seed, alphabet=p0..p39, n1=n2=n3=300)), recorded
+# from the term-at-a-time draw that preceded block draws.
+RAAA_300_SHA256 = {
+    1: "e6d02cfbb0e67487c7d4c313bc9e8730100efe0c2506e2c4eccb539ce20d5f89",
+    987654321: "80944908aa73c81c5eb3df4fda89b48879ad439e2399f105e13f75e855afda3d",
+}
 
 # serialize(random_rational_element(seed)), recorded before the draw moved
 # into checks._scalar; the draws and their order must not change.
@@ -133,3 +145,57 @@ class TestRaaa:
         assert not element.triples
         for key in list(element.singles) + list(element.doubles):
             assert set(key) <= {"p", "q"}
+
+
+def _reference_raaa(seed, alphabet, counts, coeff_range):
+    """raaa drawn term by term: per term, its symbols left to right, then its coefficient."""
+    rng = Xoshiro256StarStar(seed)
+    lo, hi = coeff_range
+    maps = ({}, {}, {})
+    for width, count in enumerate(counts, 1):
+        for _ in range(count):
+            key = tuple(alphabet[rng.below(len(alphabet))] for _ in range(width))
+            coeff = lo + rng.below(hi - lo + 1)
+            maps[width - 1][key] = maps[width - 1].get(key, 0) + coeff
+    return AaaElement(*maps)
+
+
+_seeds = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=-(1 << 70), max_value=-1),
+    st.integers(min_value=1 << 64, max_value=1 << 70),
+)
+_coeff_ranges = st.integers(1, 50).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 50)))
+
+
+class TestDrawOrder:
+    @given(
+        seed=_seeds,
+        alphabet=st.lists(st.sampled_from(["a", "b", "x1", "foo", "_", "Z", "a_"]), min_size=1,
+                          max_size=7),
+        counts=st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
+        coeff_range=_coeff_ranges,
+    )
+    def test_matches_the_term_by_term_reference(self, seed, alphabet, counts, coeff_range):
+        n1, n2, n3 = counts
+        assert raaa(seed, alphabet, n1, n2, n3, coeff_range) == _reference_raaa(
+            seed, alphabet, counts, coeff_range
+        )
+
+    @pytest.mark.parametrize("seed", sorted(RAAA_300_SHA256))
+    def test_golden_large_elements(self, seed):
+        alphabet = tuple(f"p{i}" for i in range(40))
+        text = serialize(raaa(seed, alphabet=alphabet, n1=300, n2=300, n3=300))
+        assert hashlib.sha256(text.encode()).hexdigest() == RAAA_300_SHA256[seed]
+
+    def test_memory_does_not_grow_with_the_term_count(self):
+        raaa(0)  # a first call may fill caches that later calls reuse
+        tracemalloc.start()
+        try:
+            raaa(1, n3=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 16,000 draws of these 4,000 terms would take about 0.7 MB if
+        # listed at once; a block of terms takes a few kB.
+        assert peak < 256 * 1024
