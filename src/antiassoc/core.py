@@ -346,26 +346,34 @@ def _ints(m: dict) -> None:
             m[key] = c.numerator
 
 
-def _merged(x: Mapping, y: Mapping) -> dict:
-    out = dict(x)
-    for key, coeff in y.items():
-        total = out.get(key, 0) + coeff
-        if type(total) is not int and total.denominator == 1:
-            total = total.numerator
-        if total:
-            out[key] = total
-        else:
-            del out[key]
-    return out
+def _sum(first: AaaElement, rest: Iterable[tuple[bool, AaaElement]]) -> AaaElement:
+    """``first`` plus or minus each ``(is_plus, element)`` of ``rest``.
+
+    ``first``'s maps are copied once and every later term is merged into the
+    copies, so the time is linear in the terms.  Only a sum is normalized.
+    """
+    maps = dict(first.singles), dict(first.doubles), dict(first.triples)
+    for plus, e in rest:
+        for out, m in zip(maps, (e.singles, e.doubles, e.triples)):
+            get = out.get
+            for key, coeff in m.items():
+                total = get(key)
+                if total is None:
+                    out[key] = coeff if plus else -coeff
+                    continue
+                total = total + coeff if plus else total - coeff
+                if type(total) is not int and total.denominator == 1:
+                    total = total.numerator
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+    return AaaElement._trusted(*maps)
 
 
 def add(a: AaaElement, b: AaaElement) -> AaaElement:
     """Elementwise sum; keys whose coefficients cancel are removed."""
-    return AaaElement._trusted(
-        _merged(a.singles, b.singles),
-        _merged(a.doubles, b.doubles),
-        _merged(a.triples, b.triples),
-    )
+    return _sum(a, ((True, b),))
 
 
 def neg(a: AaaElement) -> AaaElement:
@@ -377,7 +385,7 @@ def neg(a: AaaElement) -> AaaElement:
 
 
 def sub(a: AaaElement, b: AaaElement) -> AaaElement:
-    return add(a, neg(b))
+    return _sum(a, ((False, b),))
 
 
 def scalar_mul(c: object, a: AaaElement) -> AaaElement:

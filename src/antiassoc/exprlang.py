@@ -21,7 +21,7 @@ tighter than ``*``::
     arg     := NAME '=' kwvalue | expr
     kwvalue := NUMBER | NAME | '(' NAME (',' NAME)* ')'
 
-The lexer is one compiled pattern, matched token after token.  Whitespace
+The lexer is one ``findall`` pass of one compiled pattern.  Whitespace
 is any character for which ``str.isspace()`` holds (``\\s`` in ``re``), and
 names follow :data:`core.SYMBOL_RE`.  Numbers are exact rational literals
 (``2``, ``3/2``).  They are not elements: the algebra has no unit, so
@@ -53,13 +53,12 @@ from .core import (
     AlgebraError,
     Coefficient,
     DEFAULT_CONTEXT,
-    add,
+    _sum,
     as_coeff,
     from_symbols,
     mul,
     neg,
     scalar_mul,
-    sub,
 )
 from .rng import SplitMix64, raaa
 
@@ -115,25 +114,30 @@ class Token(NamedTuple):
 
 
 _KEYWORDS = frozenset({"sym", "let"})
-# m.lastindex names the token class.  The last group takes any other non-space
-# character, so finditer never skips one: each is a token or an error.
-_TOKEN_RE = re.compile(rf"\s*(?:([-+*()=,;])|({SYMBOL_RE.pattern})|([0-9]+(?:/[0-9]+)?)|(\S))")
-_PUNCT, _NAME, _NUMBER = 1, 2, 3
+# A match is a token and the whitespace before it; the last group takes any
+# other non-space character, so the matches are contiguous.
+_TOKEN_RE = re.compile(rf"(\s*)(?:([-+*()=,;])|({SYMBOL_RE.pattern})|([0-9]+(?:/[0-9]+)?)|(\S))")
 
 
 def tokenize(src: str) -> list[Token]:
-    """Split source into tokens with 1-based positions; ends with 'end'."""
+    """Split source into tokens with 1-based positions; ends with 'end'.
+
+    One ``findall`` pass matches every token, and the columns are a running
+    sum of the lengths matched.
+    """
     tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(src):
-        group = m.lastindex
-        text = m.group(group)
-        pos = m.start(group) + 1
-        if group == _PUNCT:
-            tokens.append(Token(text, text, pos))
-        elif group == _NAME:
-            tokens.append(Token(text if text in _KEYWORDS else "name", text, pos))
-        elif group == _NUMBER:
-            num, slash, den = text.partition("/")
+    append, new = tokens.append, tuple.__new__  # new() skips NamedTuple's __new__
+    pos = 1
+    for space, punct, name, number, other in _TOKEN_RE.findall(src):
+        pos += len(space)
+        if punct:
+            append(new(Token, (punct, punct, pos, None)))
+            pos += 1
+        elif name:
+            append(new(Token, (name if name in _KEYWORDS else "name", name, pos, None)))
+            pos += len(name)
+        elif number:
+            num, slash, den = number.partition("/")
             try:
                 value = as_coeff(Fraction(int(num), int(den))) if slash else int(num)
             except ZeroDivisionError:
@@ -141,17 +145,18 @@ def tokenize(src: str) -> list[Token]:
             except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
                 limit = sys.get_int_max_str_digits()
                 raise LexError(f"number longer than {limit} digits", pos) from None
-            tokens.append(Token("number", text, pos, value))
+            append(new(Token, ("number", number, pos, value)))
+            pos += len(number)
         else:
-            raise LexError(f"illegal character {text!r}", pos)
-    tokens.append(Token("end", "", len(src) + 1))
+            raise LexError(f"illegal character {other!r}", pos)
+    append(new(Token, ("end", "", len(src) + 1, None)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Compilation.  An expression compiles to ``(pos, run)``: ``run(env)`` gives
 # its value, and errors about that value point at column ``pos``.  Closures
-# look up ``add``, ``mul``, ``access`` etc. as module globals when they run.
+# look up ``_sum``, ``mul``, ``access`` etc. as module globals when they run.
 
 class _Call(NamedTuple):
     """A builtin call; the builtin evaluates its own arguments."""
@@ -367,19 +372,25 @@ def _negation(value_of: Callable) -> Callable:
 
 
 def _linear(first: tuple[int, Callable], rest: list[tuple[bool, int, Callable]]) -> Callable:
-    """Sum a chain left to right; ``rest`` holds (is '+', pos, run) per operand."""
+    """Sum a chain in one pass; ``rest`` holds (is '+', pos, run) per operand.
+
+    The operands run and are checked left to right as ``core._sum`` merges
+    them, so a chain takes time linear in its operands' terms.
+    """
     fpos, frun = first
+
+    def operands(env):
+        for plus, pos, value_of in rest:
+            y = value_of(env)
+            if not isinstance(y, AaaElement):
+                raise ScalarOperandError(_NOT_ELEMENT, pos)
+            yield plus, y
 
     def run(env):
         x = frun(env)
         if not isinstance(x, AaaElement):
             raise ScalarOperandError(_NOT_ELEMENT, fpos)
-        for plus, pos, value_of in rest:
-            y = value_of(env)
-            if not isinstance(y, AaaElement):
-                raise ScalarOperandError(_NOT_ELEMENT, pos)
-            x = add(x, y) if plus else sub(x, y)
-        return x
+        return _sum(x, operands(env))
 
     return run
 

@@ -102,13 +102,15 @@ def raaa(
     over ``alphabet`` and integer coefficients uniform over
     ``coeff_range``.  Duplicate keys accumulate, so printed coefficients
     can exceed the range maximum.  The same seed (with the same
-    arguments) gives the same element everywhere.
+    arguments) gives the same element everywhere.  A count that is not an
+    ``int`` >= 0, or is a ``bool``, is a ValueError.
     """
     alphabet = tuple(_check_symbols(alphabet))
     if not alphabet:
         raise EmptyAlphabetError("alphabet must contain at least one symbol")
-    if min(n1, n2, n3) < 0:
-        raise ValueError("term counts must be >= 0")
+    for n in (n1, n2, n3):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError("term counts must be integers >= 0")
     lo, hi = coeff_range
     if not (isinstance(lo, int) and isinstance(hi, int)) or not 1 <= lo <= hi:
         raise ValueError("coeff_range must be integers with 1 <= lo <= hi")

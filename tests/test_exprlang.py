@@ -15,9 +15,14 @@ from antiassoc import (
     LexError,
     ScalarOperandError,
     UnboundVariableError,
+    add,
+    neg,
     parse,
     raaa,
+    scalar_mul,
     serialize,
+    sub,
+    zero,
 )
 from antiassoc import access, exprlang
 from antiassoc.core import SYMBOL_RE, as_coeff
@@ -31,6 +36,7 @@ from conftest import (
     SPLIT_NO_SINGLE,
     SPLIT_TEXT,
 )
+from test_laws import _assert_clean, mixed_elements
 
 
 def env_with(**bindings):
@@ -157,6 +163,14 @@ def _mutated_statement(draw):
     return text
 
 
+# The 300 tokens of extract(v, s1=(s0, s1, ..., s145)).
+_SELECTOR_TOKENS = [
+    "extract", "(", "v", ",", "s1", "=", "(", "s0",
+    *(tok for i in range(1, 146) for tok in (",", f"s{i}")),
+    ")", ")",
+]
+
+
 class TestTokenizeAgainstReference:
     @settings(max_examples=300)
     @given(_mutated_statement())
@@ -173,6 +187,14 @@ class TestTokenizeAgainstReference:
             "sym a; 3/",
             "\u00b2",
             "a * 9" + "9" * sys.get_int_max_str_digits(),
+            pytest.param("", id="empty"),
+            pytest.param(" \t\u3000\x85 ", id="whitespace-only"),
+            pytest.param("sym a;  a +\t\t3/2*a \t\u3000 ", id="whitespace-runs-and-trailing"),
+            *(
+                pytest.param(sep.join(_SELECTOR_TOKENS), id=f"selector-{name}")
+                for sep, name in (("\t", "tab"), ("\x85", "nel"), ("\u3000", "ideographic"))
+            ),
+            pytest.param(" + ".join(["a_1"] * 2000) + " $", id="illegal-last-of-long-line"),
         ],
     )
     def test_fixed_rows(self, src):
@@ -365,6 +387,58 @@ class TestEval:
             with pytest.raises(EvalError) as err:
                 eval_one(src)
             assert (err.value.message, err.value.pos) == ("raaa() seed must be an integer", pos)
+
+
+@st.composite
+def _signed_operands(draw):
+    """2 to 100 (is '+', element) pairs over a few elements u, c*u and (1-c)*u.
+
+    Drawn from a small pool, operands repeat, so many cancel exactly, and the
+    parts c*u and (1-c)*u of one element have rational coefficients that sum
+    to u's.
+    """
+    base = draw(st.lists(mixed_elements, min_size=1, max_size=4))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=12))
+    pool = base + [scalar_mul(c, u) for u in base] + [scalar_mul(1 - c, u) for u in base]
+    n = draw(st.integers(2, 100))
+    return [(draw(st.booleans()), draw(st.sampled_from(pool))) for _ in range(n)]
+
+
+class TestChains:
+    @given(_signed_operands())
+    def test_chain_equals_the_left_fold_of_add_and_sub(self, operands):
+        names = [f"v{i}" for i in range(len(operands))]
+        env = env_with(**dict(zip(names, (e for _, e in operands))))
+        src = "".join(f" {'+' if plus else '-'} {name}" for (plus, _), name in zip(operands, names))
+        (result,) = run_program(src.removeprefix(" +"), env)
+        (plus, first), *rest = operands
+        fold = first if plus else neg(first)
+        for plus, e in rest:
+            fold = add(fold, e) if plus else sub(fold, e)
+        # and a reference that shares no code with add: parse sums the signed terms' text
+        texts = [serialize(e if plus else neg(e)) for plus, e in operands if e]
+        summed = parse(" ".join(texts)) if texts else zero()
+        assert serialize(result) == serialize(fold) == serialize(summed)
+        _assert_clean(result)
+
+    @pytest.mark.parametrize(
+        "src, pos",
+        [
+            ("sym a; 2 + a - a + a", 8),
+            ("sym a; a + a - 3/2 + a", 16),
+            ("sym a; a + a - a + 2", 20),
+        ],
+    )
+    def test_bare_number_column_at_any_operand(self, src, pos):
+        with pytest.raises(ScalarOperandError) as err:
+            run_program(src, Env())
+        assert (err.value.message, err.value.pos) == (NOT_ELEMENT, pos)
+
+    def test_raaa_operands_take_their_seeds_left_to_right(self):
+        (result,) = run_program("raaa() - raaa(3) + raaa() - raaa()", Env(seed=11))
+        stream = SplitMix64(11)
+        s1, s2, s3 = stream.next_u64(), stream.next_u64(), stream.next_u64()
+        assert result == sub(add(sub(raaa(s1), raaa(3)), raaa(s2)), raaa(s3))
 
 
 class TestBuiltins:

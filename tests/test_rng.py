@@ -117,6 +117,12 @@ class TestRaaa:
         with pytest.raises(ValueError):
             raaa(1, n1=-1)
 
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    @pytest.mark.parametrize("degree", ["n1", "n2", "n3"])
+    def test_counts_that_are_not_ints(self, degree, count):
+        with pytest.raises(ValueError, match="term counts must be integers >= 0"):
+            raaa(1, **{degree: count})
+
     def test_bad_coeff_range(self):
         with pytest.raises(ValueError):
             raaa(1, coeff_range=(0, 4))
