@@ -122,7 +122,7 @@ def _set_degree(element: AaaElement, replacement: object, degree: int) -> AaaEle
                 f"replacement for {AaaElement.__slots__[i]} contains terms of another degree"
             )
         new_map = maps[i]
-    elif replacement == 0 and not isinstance(replacement, bool):
+    elif as_coeff(replacement) == 0:  # refuses floats, bools and non-numbers
         new_map = {}
     else:
         raise TypeError("replacement must be an element or the literal 0")

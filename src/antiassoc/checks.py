@@ -1,14 +1,14 @@
 """Randomized property suite behind ``aaa check``.
 
-Each property runs a configurable number of independent trials from a
-deterministic seed.  A failure report carries the per-trial seed and
-the serialized inputs, so every counterexample is reproducible.
+A property is a name, the names of its inputs, a *draw* from a case seed's
+:class:`SplitMix64` stream to the inputs and a *predicate* from ``(ctx,
+*inputs)`` to None when the law holds, else a label; :func:`run_suite` runs
+each for ``trials`` trials and reports the case seed and inputs of a failure.
 
-The suite is K-aware: it must pass for every associativity constant.
-The triple-product law is tested in its general form
-``u*(v*w) == k*((u*v)*w)``, and the collapse identity
-``(a + a*x)*(b + x*b) == a*b``, exact at k = -1, is tested with its
-general correction term ``(1+k)*((a*x)*b)``.
+The suite must pass for every associativity constant K: the triple-product
+law is ``u*(v*w) == k*((u*v)*w)``, and the collapse identity
+``(a + a*x)*(b + x*b) == a*b``, exact at k = -1, carries the correction
+term ``(1+k)*((a*x)*b)``.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from ._oracle import naive_mul
-from .core import (
-    AaaElement,
-    AlgebraContext,
-    add,
-    as_coeff,
-    mul,
-    scalar_mul,
-    zero,
-)
+from .core import AaaElement, AlgebraContext, add, as_coeff, mul, scalar_mul, zero
 from .rng import SplitMix64, Xoshiro256StarStar, raaa
 from .textio import parse, serialize
 
@@ -66,81 +58,75 @@ def random_rational_element(seed: int) -> AaaElement:
     return AaaElement._trusted(*maps)
 
 
-def _fmt(**elements: AaaElement) -> str:
-    return " ".join(f"{name}={serialize(e)!r}" for name, e in elements.items())
+# Draws: each takes its seeds from the case seed's stream, left to right.
+def _raaas(count: int) -> Callable[[SplitMix64], tuple]:
+    return lambda seeds: tuple(raaa(seeds.next_u64()) for _ in range(count))
 
 
-def _check_distributivity(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
-    u, v, w = (raaa(seeds.next_u64()) for _ in range(3))
-    if mul(ctx, u, add(v, w)) != add(mul(ctx, u, v), mul(ctx, u, w)):
-        return "left: " + _fmt(u=u, v=v, w=w)
-    if mul(ctx, add(u, v), w) != add(mul(ctx, u, w), mul(ctx, v, w)):
-        return "right: " + _fmt(u=u, v=v, w=w)
-    return None
-
-
-def _check_bilinearity(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
+def _scalars_and_raaas(seeds: SplitMix64) -> tuple:
     rng = Xoshiro256StarStar(seeds.next_u64())
-    a, b = _scalar(rng), _scalar(rng)
-    u, v = raaa(seeds.next_u64()), raaa(seeds.next_u64())
+    return _scalar(rng), _scalar(rng), raaa(seeds.next_u64()), raaa(seeds.next_u64())
+
+
+# Predicates: None when the law holds, else the label of the side that failed.
+def _distributivity(ctx: AlgebraContext, u, v, w) -> Optional[str]:
+    if mul(ctx, u, add(v, w)) != add(mul(ctx, u, v), mul(ctx, u, w)):
+        return "left: "
+    if mul(ctx, add(u, v), w) != add(mul(ctx, u, w), mul(ctx, v, w)):
+        return "right: "
+    return None
+
+
+def _bilinearity(ctx: AlgebraContext, a, b, u, v) -> Optional[str]:
     lhs = mul(ctx, scalar_mul(a, u), scalar_mul(b, v))
-    rhs = scalar_mul(a * b, mul(ctx, u, v))
-    if lhs != rhs:
-        return f"a={a} b={b} " + _fmt(u=u, v=v)
-    return None
+    return None if lhs == scalar_mul(a * b, mul(ctx, u, v)) else ""
 
 
-def _check_triple_product_law(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
-    u, v, w = (raaa(seeds.next_u64()) for _ in range(3))
+def _triple_product_law(ctx: AlgebraContext, u, v, w) -> Optional[str]:
     lhs = mul(ctx, u, mul(ctx, v, w))
-    rhs = scalar_mul(ctx.k, mul(ctx, mul(ctx, u, v), w))
-    if lhs != rhs:
-        return _fmt(u=u, v=v, w=w)
-    return None
+    return None if lhs == scalar_mul(ctx.k, mul(ctx, mul(ctx, u, v), w)) else ""
 
 
-def _check_nilpotency(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
-    a, b, c, d = (raaa(seeds.next_u64()) for _ in range(4))
+def _nilpotency(ctx: AlgebraContext, a, b, c, d) -> Optional[str]:
     if mul(ctx, mul(ctx, mul(ctx, a, b), c), d) != zero():
-        return "((ab)c)d: " + _fmt(a=a, b=b, c=c, d=d)
+        return "((ab)c)d: "
     if mul(ctx, mul(ctx, a, b), mul(ctx, c, d)) != zero():
-        return "(ab)(cd): " + _fmt(a=a, b=b, c=c, d=d)
+        return "(ab)(cd): "
     return None
 
 
-def _check_collapse_identity(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
-    a, b, x = (raaa(seeds.next_u64()) for _ in range(3))
+def _collapse_identity(ctx: AlgebraContext, a, b, x) -> Optional[str]:
     lhs = mul(ctx, add(a, mul(ctx, a, x)), add(b, mul(ctx, x, b)))
     correction = scalar_mul(1 + ctx.k, mul(ctx, mul(ctx, a, x), b))
-    if lhs != add(mul(ctx, a, b), correction):
-        return _fmt(a=a, b=b, x=x)
-    return None
+    return None if lhs == add(mul(ctx, a, b), correction) else ""
 
 
-def _check_oracle(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
-    u, v = raaa(seeds.next_u64()), raaa(seeds.next_u64())
-    if mul(ctx, u, v) != naive_mul(ctx.k, u, v):
-        return _fmt(u=u, v=v)
-    return None
+def _oracle(ctx: AlgebraContext, u, v) -> Optional[str]:
+    return None if mul(ctx, u, v) == naive_mul(ctx.k, u, v) else ""
 
 
-def _check_round_trip(ctx: AlgebraContext, seeds: SplitMix64) -> Optional[str]:
-    e = random_rational_element(seeds.next_u64())
-    text = serialize(e)
-    if parse(text) != e:
-        return f"text={text!r}"
-    return None
+def _round_trip(ctx: AlgebraContext, text: AaaElement) -> Optional[str]:
+    return None if parse(serialize(text)) == text else ""
 
 
-_PROPERTIES: list[tuple[str, Callable[[AlgebraContext, SplitMix64], Optional[str]]]] = [
-    ("distributivity", _check_distributivity),
-    ("bilinearity", _check_bilinearity),
-    ("triple product law u(vw) == k(uv)w", _check_triple_product_law),
-    ("nilpotency of degree-4 products", _check_nilpotency),
-    ("collapse identity (a+ax)(b+xb) == ab + (1+k)(ax)b", _check_collapse_identity),
-    ("oracle equivalence (tree rewriting)", _check_oracle),
-    ("serialize/parse round trip", _check_round_trip),
+# (name, input names, draw, predicate); the round trip's element prints as its text.
+_PROPERTIES: list[tuple[str, tuple[str, ...], Callable, Callable]] = [
+    ("distributivity", ("u", "v", "w"), _raaas(3), _distributivity),
+    ("bilinearity", ("a", "b", "u", "v"), _scalars_and_raaas, _bilinearity),
+    ("triple product law u(vw) == k(uv)w", ("u", "v", "w"), _raaas(3), _triple_product_law),
+    ("nilpotency of degree-4 products", ("a", "b", "c", "d"), _raaas(4), _nilpotency),
+    ("collapse identity (a+ax)(b+xb) == ab + (1+k)(ax)b", ("a", "b", "x"), _raaas(3),
+     _collapse_identity),
+    ("oracle equivalence (tree rewriting)", ("u", "v"), _raaas(2), _oracle),
+    ("serialize/parse round trip", ("text",),
+     lambda seeds: (random_rational_element(seeds.next_u64()),), _round_trip),
 ]
+
+
+def _describe(names: tuple[str, ...], inputs: tuple) -> str:
+    """Elements as ``name='<canonical text>'``, scalars as ``name=<str>``."""
+    return " ".join(f"{name}={serialize(x)!r}" if isinstance(x, AaaElement) else f"{name}={x}"
+                    for name, x in zip(names, inputs))
 
 
 def run_suite(k: object = -1, trials: int = 1000, seed: int = 0) -> list[PropertyReport]:
@@ -148,18 +134,17 @@ def run_suite(k: object = -1, trials: int = 1000, seed: int = 0) -> list[Propert
     ctx = AlgebraContext(k)
     property_seeds = SplitMix64(seed)
     reports: list[PropertyReport] = []
-    for name, check in _PROPERTIES:
-        base = property_seeds.next_u64()
-        trial_seeds = SplitMix64(base)
-        passed = 0
-        counterexample = None
+    for name, input_names, draw, predicate in _PROPERTIES:
+        trial_seeds = SplitMix64(property_seeds.next_u64())
+        passed, counterexample = 0, None
         for trial in range(trials):
             case_seed = trial_seeds.next_u64()
-            detail = check(ctx, SplitMix64(case_seed))
-            if detail is None:
-                passed += 1
-            else:
-                counterexample = f"trial {trial} (case seed {case_seed}): {detail}"
+            inputs = draw(SplitMix64(case_seed))
+            label = predicate(ctx, *inputs)
+            if label is not None:
+                counterexample = (f"trial {trial} (case seed {case_seed}): "
+                                  f"{label}{_describe(input_names, inputs)}")
                 break
+            passed += 1
         reports.append(PropertyReport(name, passed, trials, counterexample))
     return reports

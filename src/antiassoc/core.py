@@ -303,10 +303,12 @@ def make_element(
         ((d1, d2), dc, "d1/d2/dc"),
         ((t1, t2, t3), tc, "t1/t2/t3/tc"),
     ):
-        cols = [c if isinstance(c, str) else list(c) for c in cols]  # a str is refused below
-        coeffs = list(coeffs)
+        # a str is refused after the length check, like a column of symbols
+        *cols, coeffs = [c if isinstance(c, str) else list(c) for c in (*cols, coeffs)]
         if any(len(c) != len(coeffs) for c in cols):
             raise LengthMismatchError(f"parallel lists {what} must have equal lengths")
+        if isinstance(coeffs, str):
+            raise TypeError(f"expected a sequence of coefficients, not the string {coeffs!r}")
         pairs += zip(zip(*map(_check_symbols, cols)), map(as_coeff, coeffs))
     return _build(pairs)
 

@@ -519,17 +519,18 @@ def _eval_raaa(call: _Call, env: Env) -> AaaElement:
         if not isinstance(seed, int):
             raise EvalError("raaa() seed must be an integer", pos)
     opts: dict = {}
-    for name, pos, value in call.kwargs:
+    for name, pos, value in call.kwargs:  # checked in _selector's order
+        if name not in ("alphabet", "n1", "n2", "n3"):
+            raise EvalError(f"raaa() has no keyword argument '{name}'", call.pos)
+        if name in opts:
+            raise EvalError(f"duplicate keyword argument '{name}'", call.pos)
         if name == "alphabet":
             if not isinstance(value, tuple):
                 raise EvalError("'alphabet' takes symbol names", pos)
-        elif name in ("n1", "n2", "n3"):
-            if not isinstance(value, int):  # a literal, so never negative
-                raise EvalError(f"'{name}' must be an integer >= 0", pos)
-            if value > MAX_RAAA_TERMS:
-                raise EvalError(f"'{name}' must be at most {MAX_RAAA_TERMS}", pos)
-        else:
-            raise EvalError(f"raaa() has no keyword argument '{name}'", call.pos)
+        elif not isinstance(value, int):  # a literal, so never negative
+            raise EvalError(f"'{name}' must be an integer >= 0", pos)
+        elif value > MAX_RAAA_TERMS:
+            raise EvalError(f"'{name}' must be at most {MAX_RAAA_TERMS}", pos)
         opts[name] = value
     if not call.args:
         seed = env.next_seed()  # only now, so that a failed call takes no seed

@@ -102,9 +102,12 @@ def raaa(
     over ``alphabet`` and integer coefficients uniform over
     ``coeff_range``.  Duplicate keys accumulate, so printed coefficients
     can exceed the range maximum.  The same seed (with the same
-    arguments) gives the same element everywhere.  A count that is not an
-    ``int`` >= 0, or is a ``bool``, is a ValueError.
+    arguments) gives the same element everywhere.  A seed, count or
+    ``coeff_range`` bound that is not an ``int``, or is a ``bool``, is a
+    ValueError, as is a negative count; nothing is drawn before these checks.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer")
     alphabet = tuple(_check_symbols(alphabet))
     if not alphabet:
         raise EmptyAlphabetError("alphabet must contain at least one symbol")
@@ -112,7 +115,8 @@ def raaa(
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("term counts must be integers >= 0")
     lo, hi = coeff_range
-    if not (isinstance(lo, int) and isinstance(hi, int)) or not 1 <= lo <= hi:
+    if (not isinstance(lo, int) or isinstance(lo, bool) or not isinstance(hi, int)
+            or isinstance(hi, bool) or not 1 <= lo <= hi):
         raise ValueError("coeff_range must be integers with 1 <= lo <= hi")
     draws = Xoshiro256StarStar(seed).stream
     s, n, span = alphabet, len(alphabet), hi - lo + 1

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 from antiassoc import (
@@ -97,6 +100,26 @@ class TestDegreeReplacement:
     def test_false_rejected(self, split_element):
         with pytest.raises(TypeError):
             set_single(split_element, False)
+
+    @pytest.mark.parametrize("value", ["0", "-0", "0/7", Fraction(0, 3)])
+    def test_zero_is_read_as_a_coefficient(self, split_element, value):
+        # as replace() reads its value, so "0" clears as 0 does
+        assert set_double(split_element, value) == set_double(split_element, 0)
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (0.0, TypeError, "coefficients must be exact rationals"),
+            (Decimal(0), TypeError, "coefficients must be exact rationals"),
+            ("1", TypeError, "replacement must be an element or the literal 0"),
+            ("-3/2", TypeError, "replacement must be an element or the literal 0"),
+            ("zero", ValueError, "not a rational literal"),
+        ],
+    )
+    def test_replacement_that_is_not_an_exact_zero(self, split_element, value, error, message):
+        for set_degree in (set_single, set_double, set_triple):
+            with pytest.raises(error, match=message):
+                set_degree(split_element, value)
 
 
 class TestKeyedSelection:

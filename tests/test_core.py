@@ -69,6 +69,26 @@ class TestSymbols:
             call()
         assert str(info.value) == f"expected a sequence of symbol names, not the string {text!r}"
 
+    @pytest.mark.parametrize(
+        "kwargs, text",
+        [
+            pytest.param(dict(s1=["a", "b"], sc="12"), "12", id="sc"),
+            pytest.param(dict(d1=["a"], d2=["b"], dc="3"), "3", id="dc"),
+            pytest.param(dict(t1=["a"], t2=["b"], t3=["c"], tc="7"), "7", id="tc"),
+        ],
+    )
+    def test_bare_string_is_not_a_list_of_coefficients(self, kwargs, text):
+        with pytest.raises(TypeError) as info:
+            make_element(**kwargs)
+        assert str(info.value) == f"expected a sequence of coefficients, not the string {text!r}"
+
+    def test_a_list_of_coefficient_texts_is_read(self):
+        assert make_element(s1=["a", "b"], sc=["1", "2"]) == make_element(s1=["a", "b"], sc=[1, 2])
+
+    def test_lengths_are_checked_before_a_bare_string(self):
+        with pytest.raises(LengthMismatchError):
+            make_element(s1=["a"], sc="12")
+
 
 class TestCoefficients:
     def test_int_stays_int(self):

@@ -546,6 +546,11 @@ class TestErrors:
             ("sym a; foo(a)", EvalError, "unknown function 'foo'", 8),
             ("sym a; extract(a, q9=a)", EvalError, "extract() has no keyword argument 'q9'", 8),
             ("raaa(s1=a)", EvalError, "raaa() has no keyword argument 's1'", 1),
+            ("raaa(3, n1=1, n1=2, n2=0, n3=0)", EvalError, "duplicate keyword argument 'n1'", 1),
+            ("  raaa(q=1, q=2)", EvalError, "raaa() has no keyword argument 'q'", 3),
+            ("raaa(n1=1, n1=3/2)", EvalError, "duplicate keyword argument 'n1'", 1),
+            ("raaa(alphabet=(a), alphabet=3)", EvalError,
+             "duplicate keyword argument 'alphabet'", 1),
             ("sym a; replace(a, 1, s1=a, s1=b)", EvalError, "duplicate keyword argument 's1'", 8),
             ("sym a; extract(a, s1=2)", EvalError, "'s1' takes symbol names, not a number", 22),
             ("raaa(alphabet=3)", EvalError, "'alphabet' takes symbol names", 15),
@@ -615,7 +620,9 @@ class TestPartialRun:
         assert env.bindings == {"a": parse("+1a"), "v": parse("+1a")}
 
     @pytest.mark.parametrize(
-        "src", ["raaa(n1=3/2)", "raaa(alphabet=3)", "raaa(s1=a)", "raaa(n1=1, n3=100001)"]
+        "src",
+        ["raaa(n1=3/2)", "raaa(alphabet=3)", "raaa(s1=a)", "raaa(n1=1, n3=100001)",
+         "raaa(n2=1, n2=2)"],
     )
     def test_failed_raaa_takes_no_seed(self, src):
         env = Env(seed=5)

@@ -129,6 +129,21 @@ class TestRaaa:
         with pytest.raises(ValueError):
             raaa(1, coeff_range=(3, 2))
 
+    @pytest.mark.parametrize("bounds", [(True, True), (1, True), (True, 4), (1.0, 4), (1, "4")])
+    def test_coeff_range_bounds_that_are_not_ints(self, bounds):
+        with pytest.raises(ValueError, match=r"coeff_range must be integers with 1 <= lo <= hi"):
+            raaa(1, coeff_range=bounds)
+
+    @pytest.mark.parametrize("seed", [1.5, None, "7", True, False, 3.0])
+    def test_seeds_that_are_not_ints(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            raaa(seed)
+
+    def test_seeds_are_taken_modulo_2_to_the_64(self):
+        assert raaa(-1) == raaa(2**64 - 1)
+        assert raaa(2**64 + 3) == raaa(3)
+        assert raaa(-(2**70) + 5) == raaa(5)
+
     def test_structure_over_many_seeds(self):
         alphabet = {"a", "b", "c", "d"}
         for seed in range(1000):
