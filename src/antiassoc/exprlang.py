@@ -442,14 +442,23 @@ def parse_program(src: str) -> list[Callable]:
 # Evaluation
 
 class Env:
-    """Mutable interpreter session: context, bindings, seed stream for raaa()."""
+    """Mutable interpreter session: context, bindings, seed stream for raaa().
+
+    A ``context`` that is not an :class:`AlgebraContext` is a TypeError; a
+    seed that is not an ``int``, or is a ``bool``, is a ValueError, as in
+    :func:`raaa`.
+    """
 
     def __init__(self, context: AlgebraContext = DEFAULT_CONTEXT, seed: int = 0) -> None:
+        if not isinstance(context, AlgebraContext):
+            raise TypeError(f"context must be an AlgebraContext, not {type(context).__name__}")
         self.context = context
         self.bindings: dict[str, AaaElement] = {}
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError("seed must be an integer")
         self.seed = seed
         self._seed_stream = SplitMix64(seed)
 

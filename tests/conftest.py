@@ -1,5 +1,7 @@
 """Shared fixtures: the worked-example elements used across test modules."""
 
+import gc
+
 import pytest
 
 from antiassoc import from_symbols, make_element, parse
@@ -120,3 +122,16 @@ def z():
 @pytest.fixture
 def split_element():
     return parse(SPLIT_TEXT)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that ends with the cyclic garbage collector off.
+
+    ``cli.main`` turns it off while a command runs; a broken restore would
+    otherwise run the rest of the suite without it.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector off")

@@ -1,3 +1,5 @@
+import gc
+import io
 import random
 import subprocess
 import sys
@@ -368,3 +370,84 @@ class TestFuzzedLines:
             )
             assert proc.returncode in (0, 1, 2), (line, proc.stderr)
             assert "Traceback" not in proc.stderr
+
+
+def _cyclic_garbage(monkeypatch, capsys, argv, stdin=""):
+    """How many objects in reference cycles one in-process ``main(argv)`` leaves."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.main(argv)
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        capsys.readouterr()
+
+
+def _statements(count):
+    return "".join(f"let v{i} = raaa({i}, n1=3) * raaa(n2=2); v{i} - v{i}; v{i} = v{i}\n"
+                   for i in range(count))
+
+
+_ERROR_LINES = "oops\nsym a; a*2/0\n1 2\nraaa(n1=3/2)\n2*3\n" + "(" * 200 + "a" + ")" * 200 + "\n"
+
+
+class TestCollector:
+    """``main`` runs each command with the cyclic collector off and restores it."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda n: (["eval", "--seed", "3"], _statements(n) + "sym a; a*(a*2\n"),
+            lambda n: (["repl", "--seed", "3"], _statements(n) + _ERROR_LINES * n + ":k 2\n"),
+            lambda n: (["parse"], "+2a +1b.c\n+1c -1/2(a.b)c +3a\n0\n" * n + "+1a +\n"),
+            lambda n: (["check", "--seed", "7", "--trials", str(n)], ""),
+        ],
+        ids=["eval", "repl", "parse", "check"],
+    )
+    def test_no_reference_cycles_grow_with_the_input(self, monkeypatch, capsys, command):
+        _cyclic_garbage(monkeypatch, capsys, *command(1))  # imports made on first use
+        small = _cyclic_garbage(monkeypatch, capsys, *command(1))
+        large = _cyclic_garbage(monkeypatch, capsys, *command(20))
+        assert small == large
+
+    def test_off_while_the_command_runs(self, monkeypatch):
+        seen = []
+
+        def record(src, env):
+            seen.append(gc.isenabled())
+            return []
+
+        monkeypatch.setattr(cli, "run_program", record)
+        assert cli.main(["eval", "sym a; a"]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_on_again_after_an_internal_error(self, monkeypatch, capsys):
+        def crash(src, env):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_program", crash)
+        assert cli.main(["eval", "sym a; a"]) == 2
+        assert gc.isenabled()
+
+    def test_on_again_after_an_interrupt(self, monkeypatch):
+        def interrupt(src, env):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_program", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["eval", "sym a; a"])
+        assert gc.isenabled()
+
+    def test_a_caller_that_turned_it_off_finds_it_off(self, capsys):
+        gc.disable()
+        try:
+            assert cli.main(["eval", "sym a; a"]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert capsys.readouterr().out == "+1a\n"

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from antiassoc import AaaElement, EmptyAlphabetError, serialize, zero
 from antiassoc.checks import random_rational_element
+from antiassoc.exprlang import Env
 from antiassoc.rng import SplitMix64, Xoshiro256StarStar, raaa
 
 # Published reference outputs for SplitMix64 with seed 1234567.
@@ -143,6 +145,34 @@ class TestRaaa:
         assert raaa(-1) == raaa(2**64 - 1)
         assert raaa(2**64 + 3) == raaa(3)
         assert raaa(-(2**70) + 5) == raaa(5)
+
+    @pytest.mark.parametrize("seed", [1.5, None, "7", True, False, 3.0])
+    def test_session_seeds_that_are_not_ints(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            Env(seed=seed)
+
+    @pytest.mark.parametrize("seed", [2.5, None, "7", True])
+    def test_reseed_refuses_before_the_stream_changes(self, seed):
+        env = Env(seed=5)
+        env.next_seed()
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            env.reseed(seed)
+        untouched = Env(seed=5)
+        untouched.next_seed()
+        assert env.seed == 5
+        assert env.next_seed() == untouched.next_seed()
+
+    def test_session_seeds_are_taken_modulo_2_to_the_64(self):
+        for seed, same in ((-1, 2**64 - 1), (2**64 + 3, 3)):
+            assert Env(seed=seed).next_seed() == Env(seed=same).next_seed()
+            env = Env()
+            env.reseed(seed)
+            assert env.next_seed() == Env(seed=same).next_seed()
+
+    @pytest.mark.parametrize("context", [2, "-1", None, Fraction(-1)])
+    def test_session_context_that_is_not_an_algebra_context(self, context):
+        with pytest.raises(TypeError, match="^context must be an AlgebraContext, not "):
+            Env(context=context)
 
     def test_structure_over_many_seeds(self):
         alphabet = {"a", "b", "c", "d"}
