@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Union
 
 from .core import AaaElement, TermKey, _build, as_coeff, check_symbol, zero
 
-__all__ = ["Leaf", "Node", "Tree", "degree", "normalize", "naive_mul"]
+__all__ = ["Leaf", "Node", "Tree", "normalize", "naive_mul"]
 
 
 class Leaf(NamedTuple):
@@ -29,31 +29,25 @@ class Node(NamedTuple):
 Tree = Union[Leaf, Node]
 
 
-def degree(tree: Tree) -> int:
-    """Number of leaves."""
-    if isinstance(tree, Leaf):
-        return 1
-    return degree(tree.left) + degree(tree.right)
-
-
 def _combed(tree: Tree) -> tuple[Optional[TermKey], int]:
     """Left-comb a tree.
 
     Returns (key, n) where n is the number of rewrite applications the
     combing needed (each contributes one factor of K), or (None, 0) for
-    trees of degree four or more, which vanish.
+    trees of degree four or more, which vanish.  The trees of one to
+    three leaves are the four shapes x, xy, (xy)z and x(yz).
     """
-    deg = degree(tree)
-    if deg > 3:
-        return None, 0
     if isinstance(tree, Leaf):
         return (tree.name,), 0
-    if deg == 2:
-        return (tree.left.name, tree.right.name), 0
-    if isinstance(tree.left, Node):
-        return (tree.left.left.name, tree.left.right.name, tree.right.name), 0
-    inner = tree.right
-    return (tree.left.name, inner.left.name, inner.right.name), 1
+    left, right = tree
+    if isinstance(left, Leaf):
+        if isinstance(right, Leaf):
+            return (left.name, right.name), 0
+        if isinstance(right.left, Leaf) and isinstance(right.right, Leaf):
+            return (left.name, right.left.name, right.right.name), 1
+    elif isinstance(right, Leaf) and isinstance(left.left, Leaf) and isinstance(left.right, Leaf):
+        return (left.left.name, left.right.name, right.name), 0
+    return None, 0
 
 
 def normalize(k: object, tree: Tree, coeff: object = 1) -> AaaElement:
@@ -66,12 +60,10 @@ def normalize(k: object, tree: Tree, coeff: object = 1) -> AaaElement:
 
 
 def _term_tree(key: TermKey) -> Tree:
-    leaves = [Leaf(name) for name in key]
-    if len(leaves) == 1:
-        return leaves[0]
-    if len(leaves) == 2:
-        return Node(leaves[0], leaves[1])
-    return Node(Node(leaves[0], leaves[1]), leaves[2])
+    tree = Leaf(key[0])
+    for name in key[1:]:  # a basis key is left-combed: x, xy or (xy)z
+        tree = Node(tree, Leaf(name))
+    return tree
 
 
 def naive_mul(k: object, a: AaaElement, b: AaaElement) -> AaaElement:

@@ -6,6 +6,7 @@ evaluation or internal error, 64 usage error.  A coefficient too long for
 and ``parse`` exit 2 and ``repl`` goes on to the next line.  Output is
 machine-readable when piped: one canonical text line per value.  When
 stdout is a terminal, each element is prefixed by a header line.
+``eval`` runs each stdin line as it reads it; a closed stdout exits 2 silently.
 Each command runs with the cyclic garbage collector off, as its elements
 and statements form no reference cycles; the library leaves it alone.
 """
@@ -110,6 +111,11 @@ def _serialize_or_report(element, lineno: int) -> Optional[str]:
         return None
 
 
+def _lines(source):
+    """The numbered non-blank lines of ``source``, without their newline, as they are read."""
+    return ((n, line.rstrip("\n")) for n, line in enumerate(source, 1) if line.strip())
+
+
 def _run_line(src: str, env: Env, lineno: int, tty: bool):
     """Run one input line; returns (ok, any_false_equality)."""
     try:
@@ -135,14 +141,8 @@ def _run_line(src: str, env: Env, lineno: int, tty: bool):
 def _cmd_eval(parser: _ArgumentParser, args) -> int:
     env = _session(parser, args)
     tty = sys.stdout.isatty()
-    if args.exprs:
-        lines = list(enumerate(args.exprs, 1))
-    else:
-        lines = [(n, raw.rstrip("\n")) for n, raw in enumerate(sys.stdin, 1)]
     status = 0
-    for lineno, src in lines:
-        if not src.strip():
-            continue
+    for lineno, src in _lines(args.exprs or sys.stdin):
         ok, any_false = _run_line(src, env, lineno, tty)
         if not ok:
             return 2
@@ -198,12 +198,9 @@ def _cmd_repl(parser: _ArgumentParser, args) -> int:
     return 0
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(parser: _ArgumentParser, args) -> int:
     status = 0
-    for lineno, raw in enumerate(sys.stdin, 1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in _lines(sys.stdin):
         try:
             element = parse(line)
         except ParseError as exc:
@@ -235,6 +232,9 @@ def _cmd_check(parser: _ArgumentParser, args) -> int:
     return 0 if ok == len(reports) else 1
 
 
+_COMMANDS = {"eval": _cmd_eval, "repl": _cmd_repl, "parse": _cmd_parse, "check": _cmd_check}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -243,13 +243,12 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "eval":
-            return _cmd_eval(parser, args)
-        if args.command == "repl":
-            return _cmd_repl(parser, args)
-        if args.command == "parse":
-            return _cmd_parse(args)
-        return _cmd_check(parser, args)
+        status = _COMMANDS[args.command](parser, args)
+        sys.stdout.flush()  # here, so that a reader gone before the last write is caught below
+        return status
+    except BrokenPipeError:  # the reader has gone; devnull takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except Exception as exc:
         # Last resort: a crash is an error (2), never a traceback or a "false" (1).
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -84,6 +84,11 @@ def _check_symbols(names: Iterable[object]) -> Iterator[str]:
     return map(check_symbol, names)
 
 
+def _is_int(value: object) -> bool:
+    """The one integer rule for arguments: an ``int``, and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def as_coeff(value: object) -> Coefficient:
     """Coerce to an exact coefficient: an int, or a Fraction in lowest terms.
 
@@ -99,7 +104,7 @@ def as_coeff(value: object) -> Coefficient:
         if value.denominator == 1:
             return int(value.numerator)
         return value if type(value) is Fraction else Fraction(value.numerator, value.denominator)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return int(value)
     if isinstance(value, str):
         try:

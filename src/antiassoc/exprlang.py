@@ -457,10 +457,8 @@ class Env:
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError("seed must be an integer")
+        self._seed_stream = SplitMix64(seed)  # checks the seed before anything changes
         self.seed = seed
-        self._seed_stream = SplitMix64(seed)
 
     def next_seed(self) -> int:
         """Seed for the next raaa() call that has no explicit seed."""

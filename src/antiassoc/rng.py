@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
-from .core import AaaElement, AlgebraError, _build, _check_symbols
+from .core import AaaElement, AlgebraError, _build, _check_symbols, _is_int
 
 __all__ = [
     "EmptyAlphabetError",
@@ -30,9 +30,11 @@ class EmptyAlphabetError(AlgebraError):
 
 
 class SplitMix64:
-    """SplitMix64 stream; used for seed expansion and derived substreams."""
+    """SplitMix64 stream, for seed expansion and substreams; it checks every seed."""
 
     def __init__(self, seed: int):
+        if not _is_int(seed):
+            raise ValueError("seed must be an integer")
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -72,13 +74,6 @@ class Xoshiro256StarStar:
         self.stream = _xoshiro256starstar(word(), word(), word(), word())
         self.next_u64 = self.stream.__next__
 
-    @classmethod
-    def from_state(cls, s0: int, s1: int, s2: int, s3: int) -> Xoshiro256StarStar:
-        rng = cls.__new__(cls)
-        rng.stream = _xoshiro256starstar(s0, s1, s2, s3)
-        rng.next_u64 = rng.stream.__next__
-        return rng
-
     def below(self, n: int) -> int:
         """Uniform-ish draw in [0, n); plain modulo, bias irrelevant here."""
         return self.next_u64() % n
@@ -106,19 +101,16 @@ def raaa(
     ``coeff_range`` bound that is not an ``int``, or is a ``bool``, is a
     ValueError, as is a negative count; nothing is drawn before these checks.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer")
+    draws = Xoshiro256StarStar(seed).stream  # checks the seed first
     alphabet = tuple(_check_symbols(alphabet))
     if not alphabet:
         raise EmptyAlphabetError("alphabet must contain at least one symbol")
     for n in (n1, n2, n3):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("term counts must be integers >= 0")
     lo, hi = coeff_range
-    if (not isinstance(lo, int) or isinstance(lo, bool) or not isinstance(hi, int)
-            or isinstance(hi, bool) or not 1 <= lo <= hi):
+    if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
         raise ValueError("coeff_range must be integers with 1 <= lo <= hi")
-    draws = Xoshiro256StarStar(seed).stream
     s, n, span = alphabet, len(alphabet), hi - lo + 1
 
     def blocks():  # zip takes its arguments' next draws left to right

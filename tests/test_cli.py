@@ -1,6 +1,7 @@
 import gc
 import io
 import random
+import select
 import subprocess
 import sys
 
@@ -251,6 +252,39 @@ class TestCheckCommand:
         probe = "import sys, antiassoc.cli; print('dataclasses' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.stdout == "False\n", proc.stderr
+
+
+class TestPipes:
+    @pytest.mark.parametrize(
+        "command, head, line",
+        [("parse", "", "+1a +1b +1c +1d +1e +1f +1g +1h"),
+         ("eval", "sym a b c d e f g h\n", "a+b+c+d+e+f+g+h")],
+        ids=["parse", "eval"],
+    )
+    def test_a_reader_gone_after_one_line_is_a_silent_exit_2(self, command, head, line, tmp_path):
+        # 256 kB of output, more than a pipe holds, so writing meets the closed end.
+        source = tmp_path / "in.txt"
+        source.write_text(head + (line + "\n") * 8000)
+        with source.open() as stdin, subprocess.Popen(
+            [sys.executable, "-m", "antiassoc", command],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline() == "+1a +1b +1c +1d +1e +1f +1g +1h\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=10) == 2
+            assert proc.stderr.read() == ""
+
+    def test_eval_runs_each_stdin_line_as_it_reads_it(self):
+        with subprocess.Popen(
+            [sys.executable, "-u", "-m", "antiassoc", "eval"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            proc.stdin.write("sym a b; a*b\n")
+            proc.stdin.flush()  # stdin stays open: the line must run before its end
+            assert select.select([proc.stdout], [], [], 10)[0], "no output while stdin is open"
+            assert proc.stdout.readline() == "+1a.b\n"
+            proc.stdin.close()
+            assert proc.wait(timeout=10) == 0
 
 
 class TestRepl:

@@ -230,6 +230,7 @@ class TestAddition:
         assert x1 + zero() == x1
 
     def test_additive_inverse(self, y):
+        assert -y == neg(y)
         assert y + neg(y) == zero()
         assert add(y, neg(y)) == zero()
 
@@ -325,6 +326,8 @@ class TestValueSemantics:
         field = next(name for name in ("singles", "k", "s1") if hasattr(value, name))
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
 
     @pytest.mark.parametrize("make", VALUES)
     def test_deepcopy_and_pickle_give_equal_values(self, make):
@@ -333,6 +336,9 @@ class TestValueSemantics:
         assert pickle.loads(pickle.dumps(value)) == value
 
     def test_reprs(self):
+        e = parse("-1a.b +3/2a")
+        assert str(e) == serialize(e) == "+3/2a -1a.b"
+        assert repr(e) == f"<AaaElement {e}>"
         assert repr(AlgebraContext()) == "AlgebraContext(k=-1)"
         assert repr(AlgebraContext("5/2")) == "AlgebraContext(k=Fraction(5, 2))"
         assert repr(KeySelector(s1=["c", "e"], t1=["c"], t2=["d"], t3=["d"])) == (

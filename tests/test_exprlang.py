@@ -557,6 +557,8 @@ class TestErrors:
             ("raaa(n1=3/2)", EvalError, "'n1' must be an integer >= 0", 9),
             ("raaa(n1=-1)", ExprSyntaxError,
              "expected a number, a symbol name or a parenthesized symbol list", 9),
+            ("sym a; extract(a, s1=a, a)", ExprSyntaxError,
+             "positional argument after keyword argument", 25),
             ("raaa(1/2)", EvalError, "raaa() seed must be an integer", 6),
             ("sym a; raaa(a)", EvalError, "raaa() seed must be an integer", 13),
             ("sym a; set_single(a, 5)", EvalError,

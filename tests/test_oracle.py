@@ -12,7 +12,7 @@ from antiassoc import (
     serialize,
     zero,
 )
-from antiassoc._oracle import Leaf, Node, degree, naive_mul, normalize
+from antiassoc._oracle import Leaf, Node, naive_mul, normalize
 from antiassoc.rng import SplitMix64, raaa
 from conftest import PRODUCT_TEXT, build_x, build_x1, build_y
 
@@ -116,9 +116,12 @@ class TestNaiveMul:
             v = raaa(seeds.next_u64())
             assert naive_mul(k, u, v) == mul(ctx, u, v)
 
-    def test_degree_counts(self):
-        tree = Node(Node(Leaf("a"), Leaf("b")), Node(Leaf("c"), Leaf("d")))
-        assert degree(tree) == 4
+    def test_trees_of_four_or_five_leaves_vanish(self):
+        four = _all_trees(list("abcd"))
+        assert len(four) == 5
+        five = Node(Leaf("e"), Node(Node(Leaf("a"), Leaf("b")), Node(Leaf("c"), Leaf("d"))))
+        for tree in four + [five]:
+            assert normalize(-1, tree) == zero()
 
     def test_generator_triple_against_mul(self):
         a, b, c = (parse(f"+1{n}") for n in "abc")

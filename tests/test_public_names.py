@@ -1,6 +1,7 @@
 """The package exports exactly its public names, each once."""
 
 import importlib
+import pkgutil
 import types
 
 import pytest
@@ -29,6 +30,14 @@ def test_every_name_resolves_and_none_is_a_module():
 
 
 MODULES = ("access", "core", "exprlang", "rng", "textio")
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(antiassoc.__path__)))
+def test_every_all_in_the_package_names_something_that_exists(module):
+    """Private modules too: an ``__all__`` entry nothing imports is stale unseen."""
+    imported = importlib.import_module(f"antiassoc.{module}")
+    missing = [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)]
+    assert missing == []
 
 
 def test_package_exports_exactly_its_modules_all():

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antiassoc import AaaElement, EmptyAlphabetError, serialize, zero
-from antiassoc.checks import random_rational_element
+from antiassoc.checks import random_rational_element, run_suite
 from antiassoc.exprlang import Env
-from antiassoc.rng import SplitMix64, Xoshiro256StarStar, raaa
+from antiassoc.rng import SplitMix64, Xoshiro256StarStar, _xoshiro256starstar, raaa
 
 # Published reference outputs for SplitMix64 with seed 1234567.
 SPLITMIX_1234567 = [
@@ -78,8 +78,8 @@ class TestGenerators:
         assert [sm.next_u64() for _ in range(5)] == SPLITMIX_1234567
 
     def test_xoshiro_reference_sequence(self):
-        rng = Xoshiro256StarStar.from_state(1, 2, 3, 4)
-        assert [rng.next_u64() for _ in range(6)] == XOSHIRO_1234
+        stream = _xoshiro256starstar(1, 2, 3, 4)
+        assert [next(stream) for _ in range(6)] == XOSHIRO_1234
 
     def test_seeded_chain(self):
         rng = Xoshiro256StarStar(42)
@@ -138,8 +138,11 @@ class TestRaaa:
 
     @pytest.mark.parametrize("seed", [1.5, None, "7", True, False, 3.0])
     def test_seeds_that_are_not_ints(self, seed):
-        with pytest.raises(ValueError, match="^seed must be an integer$"):
-            raaa(seed)
+        # Every seed passes through SplitMix64, so each entry point refuses alike.
+        for take_seed in (raaa, SplitMix64, Xoshiro256StarStar,
+                          lambda seed: run_suite(trials=0, seed=seed)):
+            with pytest.raises(ValueError, match="^seed must be an integer$"):
+                take_seed(seed)
 
     def test_seeds_are_taken_modulo_2_to_the_64(self):
         assert raaa(-1) == raaa(2**64 - 1)
