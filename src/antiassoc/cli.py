@@ -9,6 +9,8 @@ stdout is a terminal, each element is prefixed by a header line.
 ``eval`` runs each stdin line as it reads it; a closed stdout exits 2 silently.
 Each command runs with the cyclic garbage collector off, as its elements
 and statements form no reference cycles; the library leaves it alone.
+Only ``eval`` and ``repl`` import ``exprlang``, and ``repl`` imports ``readline`` only
+at a terminal.  A seed (``--seed``, ``AAA_SEED``, ``:seed``) matches ``[+-]?[0-9]+``.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from typing import Optional
 
 from .core import AlgebraContext
-from .exprlang import Env, ExprError, run_program
 from .textio import ParseError, parse, serialize
 
 __all__ = ["main"]
@@ -83,19 +85,52 @@ def _resolve_k(parser: _ArgumentParser, text: str) -> AlgebraContext:
         parser.error(f"invalid rational for --k: {text!r}")
 
 
+def _seed(text: str) -> int:
+    """RAT's numerator, or ``ValueError``: ``int()`` alone also takes 1_0, " 10 " and ١٠."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        return int(text)  # ValueError past sys.get_int_max_str_digits() too
+    raise ValueError(text)
+
+
 def _resolve_seed(parser: _ArgumentParser, value) -> int:
     raw = value if value is not None else os.environ.get("AAA_SEED")
     if raw is None:
         return int.from_bytes(os.urandom(8), "big")
     try:
-        return int(raw)
+        return _seed(raw)
     except ValueError:
         parser.error(f"invalid seed: {raw!r}")
 
 
-def _session(parser: _ArgumentParser, args) -> Env:
-    """The session ``eval`` and ``repl`` start in, from ``--k`` and ``--seed``."""
-    return Env(context=_resolve_k(parser, args.k), seed=_resolve_seed(parser, args.seed))
+def _session(parser: _ArgumentParser, args):
+    """The session ``eval`` and ``repl`` start in, from ``--k`` and ``--seed``, and
+    ``run_line(src, env, lineno) -> (ok, any_false_equality)``.  ``exprlang`` is
+    looked up once per command: after any patch of it, and not by ``parse`` or ``check``."""
+    from .exprlang import Env, ExprError, run_program
+    tty = sys.stdout.isatty()
+
+    def run_line(src: str, env: Env, lineno: int):
+        try:
+            results = run_program(src, env)
+        except ExprError as exc:
+            print(f"line {lineno}: col {exc.pos}: {exc.message}", file=sys.stderr)
+            return False, False
+        any_false = False
+        for value in results:
+            if isinstance(value, bool):
+                any_false = any_false or not value
+                print("true" if value else "false")
+            elif value is not None:
+                text = _serialize_or_report(value, lineno)
+                if text is None:
+                    return False, False
+                if tty:
+                    print(HEADER)
+                print(text)
+        return True, any_false
+
+    env = Env(context=_resolve_k(parser, args.k), seed=_resolve_seed(parser, args.seed))
+    return env, run_line
 
 
 def _serialize_or_report(element, lineno: int) -> Optional[str]:
@@ -116,34 +151,11 @@ def _lines(source):
     return ((n, line.rstrip("\n")) for n, line in enumerate(source, 1) if line.strip())
 
 
-def _run_line(src: str, env: Env, lineno: int, tty: bool):
-    """Run one input line; returns (ok, any_false_equality)."""
-    try:
-        results = run_program(src, env)
-    except ExprError as exc:
-        print(f"line {lineno}: col {exc.pos}: {exc.message}", file=sys.stderr)
-        return False, False
-    any_false = False
-    for value in results:
-        if isinstance(value, bool):
-            any_false = any_false or not value
-            print("true" if value else "false")
-        elif value is not None:
-            text = _serialize_or_report(value, lineno)
-            if text is None:
-                return False, False
-            if tty:
-                print(HEADER)
-            print(text)
-    return True, any_false
-
-
 def _cmd_eval(parser: _ArgumentParser, args) -> int:
-    env = _session(parser, args)
-    tty = sys.stdout.isatty()
+    env, run_line = _session(parser, args)
     status = 0
     for lineno, src in _lines(args.exprs or sys.stdin):
-        ok, any_false = _run_line(src, env, lineno, tty)
+        ok, any_false = run_line(src, env, lineno)
         if not ok:
             return 2
         if any_false:
@@ -152,15 +164,14 @@ def _cmd_eval(parser: _ArgumentParser, args) -> int:
 
 
 def _cmd_repl(parser: _ArgumentParser, args) -> int:
-    try:
-        import readline  # noqa: F401  (line editing when available)
-    except ImportError:
-        pass
-    env = _session(parser, args)
+    env, run_line = _session(parser, args)
     interactive = sys.stdin.isatty()
-    tty = sys.stdout.isatty()
     prompt = "aaa> " if interactive else ""
-    if interactive:
+    if interactive:  # input() edits lines with readline only at a terminal
+        try:
+            import readline  # noqa: F401
+        except ImportError:
+            pass
         print("type :quit to leave, :k RAT for a fresh context, :seed N to reseed")
     lineno = 0
     while True:
@@ -182,19 +193,19 @@ def _cmd_repl(parser: _ArgumentParser, args) -> int:
                 break
             if command == ":k":
                 try:
-                    env = Env(context=AlgebraContext(rest), seed=env.seed)
+                    env = type(env)(context=AlgebraContext(rest), seed=env.seed)
                 except ValueError:
                     print(f"invalid rational for :k: {rest!r}", file=sys.stderr)
                 continue
             if command == ":seed":
                 try:
-                    env.reseed(int(rest))
+                    env.reseed(_seed(rest))
                 except ValueError:
                     print(f"invalid seed: {rest!r}", file=sys.stderr)
                 continue
             print(f"unknown command {command!r}", file=sys.stderr)
             continue
-        _run_line(line, env, lineno, tty)
+        run_line(line, env, lineno)
     return 0
 
 

@@ -71,9 +71,9 @@ _S = SYMBOL_RE.pattern
 _TERM_RE = re.compile(
     rf"([+-])([0-9]+)(?:/([0-9]+))?(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*"
 )
-# The same grammar with every piece allowed to match empty: it always matches, and the
-# first required piece that came out empty (groups 1-3, then the key's 5-10) is the error.
-_DIAGNOSIS_RE = re.compile(
+# The same grammar with every piece allowed to match empty, compiled at the first error: it always
+# matches, and the first required piece left empty (groups 1-3, then key's 5-10) is the error.
+_DIAGNOSIS = (
     rf"([+-]?)([0-9]*)(?:/([0-9]*))?(\()?({_S}|)(?(4)(\.?)({_S}|)(\)?)({_S}|)|(?:\.({_S}|))?)"
 )
 _KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}
@@ -119,7 +119,7 @@ def _diagnose(text: str, i: int) -> NoReturn:
     start of the last term it matched, not the place where matching failed.
     """
     while True:
-        m = _DIAGNOSIS_RE.match(text, i)
+        m = re.compile(_DIAGNOSIS).match(text, i)
         sign, num, den = m.group(1, 2, 3)
         if not sign:
             raise ParseError(f"expected '+' or '-', found {text[i]!r}", i + 1)

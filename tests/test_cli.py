@@ -117,7 +117,7 @@ class TestEval:
         def crash(src, env):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "run_program", crash)
+        monkeypatch.setattr("antiassoc.exprlang.run_program", crash)
         assert cli.main(["eval", "sym a; a"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -127,7 +127,7 @@ class TestEval:
         def interrupt(src, env):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "run_program", interrupt)
+        monkeypatch.setattr("antiassoc.exprlang.run_program", interrupt)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["eval", "sym a; a"])
 
@@ -339,6 +339,60 @@ class TestRepl:
         assert one.stdout == two.stdout
 
 
+# int() reads each of the first three as 10; a seed is a full match of [+-]?[0-9]+.
+_BAD_SEEDS = ["1_0", " 10 ", "١٠", "abc", "1e3", "1.5", ""]
+
+
+class TestSeeds:
+    """``--seed``, ``AAA_SEED`` and ``:seed`` read seeds by one grammar."""
+
+    @pytest.mark.parametrize("text", _BAD_SEEDS)
+    def test_flag_refuses(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--seed", text, "raaa()"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"aaa: error: invalid seed: {text!r}\n")
+
+    @pytest.mark.parametrize("text", _BAD_SEEDS)
+    def test_environment_variable_refuses(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("AAA_SEED", text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "raaa()"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.endswith(f"aaa: error: invalid seed: {text!r}\n")
+
+    # The repl strips a command's argument, so " 10 " is ":seed 10" there; "1 0" stands in.
+    @pytest.mark.parametrize("text", [s for s in _BAD_SEEDS if s != " 10 "] + ["1 0"])
+    def test_repl_refuses_and_goes_on(self, monkeypatch, capsys, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f":seed {text}\nraaa()\n"))
+        assert cli.main(["repl", "--seed", "3"]) == 0
+        refused = capsys.readouterr()
+        assert refused.err == f"invalid seed: {text!r}\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("raaa()\n"))
+        assert cli.main(["repl", "--seed", "3"]) == 0
+        assert refused.out == capsys.readouterr().out  # the seed stream did not change
+
+    def test_a_seed_past_the_digit_limit_is_invalid_not_internal(self, monkeypatch, capsys):
+        text = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--seed", text, "raaa()"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.endswith(f"aaa: error: invalid seed: {text!r}\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f":seed {text}\n"))
+        assert cli.main(["repl"]) == 0
+        assert capsys.readouterr().err == f"invalid seed: {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["10", "+10", "-10", "010"])
+    def test_signed_digits_are_seeds(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("AAA_SEED", text)
+        assert cli.main(["eval", "raaa()"]) == 0
+        with_variable = capsys.readouterr().out
+        assert cli.main(["eval", "--seed", str(int(text)), "raaa()"]) == 0
+        assert capsys.readouterr().out == with_variable
+
+
 _FUZZ_ATOMS = ["a", "b", "2*a", "3/2*b", "raaa(1, n1=2)", "single(a)", "extract(b, s1=b)"]
 _FUZZ_EDITS = "+-*/()=,;0123456789 ab_\u00e9\u00b2\t\x85"
 
@@ -455,7 +509,7 @@ class TestCollector:
             seen.append(gc.isenabled())
             return []
 
-        monkeypatch.setattr(cli, "run_program", record)
+        monkeypatch.setattr("antiassoc.exprlang.run_program", record)
         assert cli.main(["eval", "sym a; a"]) == 0
         assert seen == [False]
         assert gc.isenabled()
@@ -464,7 +518,7 @@ class TestCollector:
         def crash(src, env):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "run_program", crash)
+        monkeypatch.setattr("antiassoc.exprlang.run_program", crash)
         assert cli.main(["eval", "sym a; a"]) == 2
         assert gc.isenabled()
 
@@ -472,7 +526,7 @@ class TestCollector:
         def interrupt(src, env):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "run_program", interrupt)
+        monkeypatch.setattr("antiassoc.exprlang.run_program", interrupt)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["eval", "sym a; a"])
         assert gc.isenabled()
