@@ -14,11 +14,11 @@ term ``(1+k)*((a*x)*b)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._oracle import naive_mul
 from .core import AaaElement, AlgebraContext, add, as_coeff, mul, scalar_mul, zero
-from .rng import SplitMix64, Xoshiro256StarStar, raaa
+from .rng import SplitMix64, raaa, xoshiro
 from .textio import parse, serialize
 
 __all__ = ["PropertyReport", "run_suite", "random_rational_element"]
@@ -38,21 +38,21 @@ class PropertyReport(NamedTuple):
 _RATIONAL_ALPHABET = ("a", "b", "c", "d", "foo", "x1")
 
 
-def _scalar(rng: Xoshiro256StarStar) -> Fraction:
-    return Fraction(rng.below(19) - 9, 1 + rng.below(9))
+def _scalar(d: Iterator[int]) -> Fraction:
+    return Fraction(next(d) % 19 - 9, 1 + next(d) % 9)
 
 
 def random_rational_element(seed: int) -> AaaElement:
     """A seed-determined element with rational (not just integer) coefficients."""
-    rng = Xoshiro256StarStar(seed)
+    d = xoshiro(seed)
     maps: tuple[dict, dict, dict] = ({}, {}, {})
     for width in (1, 2, 3):
-        for _ in range(rng.below(5)):
+        for _ in range(next(d) % 5):
             key = tuple(
-                _RATIONAL_ALPHABET[rng.below(len(_RATIONAL_ALPHABET))]
+                _RATIONAL_ALPHABET[next(d) % len(_RATIONAL_ALPHABET)]
                 for _ in range(width)
             )
-            coeff = as_coeff(_scalar(rng))
+            coeff = as_coeff(_scalar(d))
             if coeff:
                 maps[width - 1][key] = coeff
     return AaaElement._trusted(*maps)
@@ -64,8 +64,8 @@ def _raaas(count: int) -> Callable[[SplitMix64], tuple]:
 
 
 def _scalars_and_raaas(seeds: SplitMix64) -> tuple:
-    rng = Xoshiro256StarStar(seeds.next_u64())
-    return _scalar(rng), _scalar(rng), raaa(seeds.next_u64()), raaa(seeds.next_u64())
+    d = xoshiro(seeds.next_u64())
+    return _scalar(d), _scalar(d), raaa(seeds.next_u64()), raaa(seeds.next_u64())
 
 
 # Predicates: None when the law holds, else the label of the side that failed.

@@ -215,7 +215,7 @@ def _cmd_parse(parser: _ArgumentParser, args) -> int:
         try:
             element = parse(line)
         except ParseError as exc:
-            print(f"line {lineno}: {exc.message}", file=sys.stderr)
+            print(f"line {lineno}: col {exc.column}: {exc.message}", file=sys.stderr)
             return 2
         out = _serialize_or_report(element, lineno)
         if out is None:

@@ -6,8 +6,8 @@ local ints, so a given seed yields the same element on every platform.
 
 :func:`raaa` consumes the stream in a fixed order: for each requested
 term, its symbols left to right, then its coefficient.  Degree-1 terms
-come first, then degree-2, then degree-3, in blocks of ``_BLOCK_TERMS``
-terms, so its memory does not grow with the counts.
+come first, then degree-2, then degree-3.  It lists no draws, so its
+memory does not grow with the counts.
 """
 
 from __future__ import annotations
@@ -61,26 +61,18 @@ def _xoshiro256starstar(s0: int, s1: int, s2: int, s3: int) -> Iterator[int]:
         s3 = (s3 << 45 | s3 >> 19) & mask
 
 
-class Xoshiro256StarStar:
-    """xoshiro256** with the reference update rule.
+def xoshiro(seed: int) -> Iterator[int]:
+    """The xoshiro256** stream of ``seed``; a seed that is not an int is refused at the call.
 
     The four state words come from successive SplitMix64 outputs, which
     can never all be zero (the mixing function is a bijection, so only
-    one input maps to zero).  ``next_u64`` is ``stream.__next__``.
+    one input maps to zero).
     """
-
-    def __init__(self, seed: int):
-        word = SplitMix64(seed).next_u64
-        self.stream = _xoshiro256starstar(word(), word(), word(), word())
-        self.next_u64 = self.stream.__next__
-
-    def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n); plain modulo, bias irrelevant here."""
-        return self.next_u64() % n
+    word = SplitMix64(seed).next_u64
+    return _xoshiro256starstar(word(), word(), word(), word())
 
 
 DEFAULT_ALPHABET = ("a", "b", "c", "d")
-_BLOCK_TERMS = 256  # its set-up is negligible, its peak memory a few kB
 
 
 def raaa(
@@ -101,7 +93,7 @@ def raaa(
     ``coeff_range`` bound that is not an ``int``, or is a ``bool``, is a
     ValueError, as is a negative count; nothing is drawn before these checks.
     """
-    draws = Xoshiro256StarStar(seed).stream  # checks the seed first
+    d = xoshiro(seed)  # checks the seed first
     alphabet = tuple(_check_symbols(alphabet))
     if not alphabet:
         raise EmptyAlphabetError("alphabet must contain at least one symbol")
@@ -113,16 +105,10 @@ def raaa(
         raise ValueError("coeff_range must be integers with 1 <= lo <= hi")
     s, n, span = alphabet, len(alphabet), hi - lo + 1
 
-    def blocks():  # zip takes its arguments' next draws left to right
-        for done in range(0, n1, _BLOCK_TERMS):
-            d = islice(draws, 2 * min(n1 - done, _BLOCK_TERMS))
-            yield [((s[a % n],), lo + c % span) for a, c in zip(d, d)]
-        for done in range(0, n2, _BLOCK_TERMS):
-            d = islice(draws, 3 * min(n2 - done, _BLOCK_TERMS))
-            yield [((s[a % n], s[b % n]), lo + c % span) for a, b, c in zip(d, d, d)]
-        for done in range(0, n3, _BLOCK_TERMS):
-            d = islice(draws, 4 * min(n3 - done, _BLOCK_TERMS))
-            yield [((s[a % n], s[b % n], s[e % n]), lo + c % span)
-                   for a, b, e, c in zip(d, d, d, d)]
-
-    return _build(chain.from_iterable(blocks()))
+    # zip takes its arguments' next draws left to right; each islice stops its degree's draws.
+    return _build(chain(
+        (((s[a % n],), lo + c % span) for a, c in islice(zip(d, d), n1)),
+        (((s[a % n], s[b % n]), lo + c % span) for a, b, c in islice(zip(d, d, d), n2)),
+        (((s[a % n], s[b % n], s[e % n]), lo + c % span)
+         for a, b, e, c in islice(zip(d, d, d, d), n3)),
+    ))

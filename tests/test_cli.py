@@ -185,7 +185,16 @@ class TestParseCommand:
     def test_syntax_error(self):
         proc = run_cli("parse", stdin="+1(a.b\n")
         assert proc.returncode == 2
-        assert proc.stderr.strip() == "line 1: unclosed '('"
+        assert proc.stderr.strip() == "line 1: col 3: unclosed '('"
+
+    @pytest.mark.parametrize("text, message", [
+        ("+1a +", "line 1: col 6: expected digits after sign"),
+        ("+1/0a", "line 1: col 4: zero denominator"),
+    ])
+    def test_errors_name_their_column(self, text, message):
+        proc = run_cli("parse", stdin=text + "\n")
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == message
 
     def test_roundtrip_fixed_point(self):
         proc = run_cli("parse", "--roundtrip", stdin=KEYED_EXTRACT_SRC + "\n")
@@ -205,7 +214,7 @@ class TestParseCommand:
         limit = sys.get_int_max_str_digits()
         at_limit = "9" * limit
         for text, message in (
-            (f"+9{at_limit}a", f"line 1: number longer than {limit} digits"),
+            (f"+9{at_limit}a", f"line 1: col 2: number longer than {limit} digits"),
             (
                 f"+{at_limit}a +{at_limit}a",
                 f"line 1: cannot print the result: a coefficient has more than {limit} digits",

@@ -55,7 +55,7 @@ def test_package_exports_exactly_its_modules_all():
         ("exprlang", "tokenize"),
         ("exprlang", "parse_program"),
         ("rng", "SplitMix64"),
-        ("rng", "Xoshiro256StarStar"),
+        ("rng", "xoshiro"),
         ("rng", "DEFAULT_ALPHABET"),
     ],
 )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from antiassoc import AaaElement, EmptyAlphabetError, serialize, zero
 from antiassoc.checks import random_rational_element, run_suite
 from antiassoc.exprlang import Env
-from antiassoc.rng import SplitMix64, Xoshiro256StarStar, _xoshiro256starstar, raaa
+from antiassoc.rng import SplitMix64, _xoshiro256starstar, raaa, xoshiro
 
 # Published reference outputs for SplitMix64 with seed 1234567.
 SPLITMIX_1234567 = [
@@ -82,16 +82,16 @@ class TestGenerators:
         assert [next(stream) for _ in range(6)] == XOSHIRO_1234
 
     def test_seeded_chain(self):
-        rng = Xoshiro256StarStar(42)
-        assert [rng.next_u64() for _ in range(5)] == XOSHIRO_SEED42
+        stream = xoshiro(42)
+        assert [next(stream) for _ in range(5)] == XOSHIRO_SEED42
 
     def test_negative_seed_wraps(self):
         assert SplitMix64(-1)._state == (1 << 64) - 1
 
     def test_outputs_in_range(self):
-        rng = Xoshiro256StarStar(7)
+        stream = xoshiro(7)
         for _ in range(100):
-            assert 0 <= rng.next_u64() < (1 << 64)
+            assert 0 <= next(stream) < (1 << 64)
 
 
 class TestRaaa:
@@ -138,8 +138,9 @@ class TestRaaa:
 
     @pytest.mark.parametrize("seed", [1.5, None, "7", True, False, 3.0])
     def test_seeds_that_are_not_ints(self, seed):
-        # Every seed passes through SplitMix64, so each entry point refuses alike.
-        for take_seed in (raaa, SplitMix64, Xoshiro256StarStar,
+        # Every seed passes through SplitMix64, so each entry point refuses alike;
+        # xoshiro refuses at the call, before anything is drawn.
+        for take_seed in (raaa, SplitMix64, xoshiro,
                           lambda seed: run_suite(trials=0, seed=seed)):
             with pytest.raises(ValueError, match="^seed must be an integer$"):
                 take_seed(seed)
@@ -203,13 +204,13 @@ class TestRaaa:
 
 def _reference_raaa(seed, alphabet, counts, coeff_range):
     """raaa drawn term by term: per term, its symbols left to right, then its coefficient."""
-    rng = Xoshiro256StarStar(seed)
+    stream = xoshiro(seed)
     lo, hi = coeff_range
     maps = ({}, {}, {})
     for width, count in enumerate(counts, 1):
         for _ in range(count):
-            key = tuple(alphabet[rng.below(len(alphabet))] for _ in range(width))
-            coeff = lo + rng.below(hi - lo + 1)
+            key = tuple(alphabet[next(stream) % len(alphabet)] for _ in range(width))
+            coeff = lo + next(stream) % (hi - lo + 1)
             maps[width - 1][key] = maps[width - 1].get(key, 0) + coeff
     return AaaElement(*maps)
 
@@ -236,6 +237,17 @@ class TestDrawOrder:
             seed, alphabet, counts, coeff_range
         )
 
+    # Counts that cross 256-term boundaries, where a draw taken in batches would
+    # split the stream, and empty degrees between drawn ones, which must take no draws.
+    @pytest.mark.parametrize("counts", [(257, 0, 513), (0, 300, 0), (0, 0, 1), (1000, 1, 0)])
+    @pytest.mark.parametrize("alphabet", [("a",), ("a", "b", "x1", "foo", "_", "Z", "a_")])
+    def test_matches_the_reference_at_fixed_counts(self, counts, alphabet):
+        n1, n2, n3 = counts
+        for seed in (0, 2**64 - 1):
+            assert raaa(seed, alphabet, n1, n2, n3, (1, 9)) == _reference_raaa(
+                seed, alphabet, counts, (1, 9)
+            )
+
     @pytest.mark.parametrize("seed", sorted(RAAA_300_SHA256))
     def test_golden_large_elements(self, seed):
         alphabet = tuple(f"p{i}" for i in range(40))
@@ -251,5 +263,5 @@ class TestDrawOrder:
         finally:
             tracemalloc.stop()
         # The 16,000 draws of these 4,000 terms would take about 0.7 MB if
-        # listed at once; a block of terms takes a few kB.
+        # listed at once; raaa lists none of them.
         assert peak < 256 * 1024
