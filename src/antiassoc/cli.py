@@ -1,7 +1,8 @@
 """Command-line front end: ``aaa eval``, ``aaa repl``, ``aaa parse``, ``aaa check``.
 
 Exit codes: 0 success, 1 property failure or false equality, 2 parse,
-evaluation or internal error, 64 usage error.  A coefficient too long for
+evaluation or internal error, 64 usage error, 130 Ctrl-C (nothing more is
+printed; ``repl`` drops the line and reads the next).  A coefficient too long for
 ``str()`` is a ``line N: cannot print the result: ...`` error: ``eval``
 and ``parse`` exit 2 and ``repl`` goes on to the next line.  Output is
 machine-readable when piped: one canonical text line per value.  When
@@ -10,7 +11,8 @@ stdout is a terminal, each element is prefixed by a header line.
 Each command runs with the cyclic garbage collector off, as its elements
 and statements form no reference cycles; the library leaves it alone.
 Only ``eval`` and ``repl`` import ``exprlang``, and ``repl`` imports ``readline`` only
-at a terminal.  A seed (``--seed``, ``AAA_SEED``, ``:seed``) matches ``[+-]?[0-9]+``.
+at a terminal.  A seed (``--seed``, ``AAA_SEED``, ``:seed``) matches ``[+-]?[0-9]+``,
+as does ``--trials``, which is also ``>= 0``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _build_parser() -> _ArgumentParser:
     )
 
     p_check = sub.add_parser("check", help="run the randomized property suite")
-    p_check.add_argument("--trials", type=int, default=1000, help="trials per property")
+    p_check.add_argument("--trials", default="1000", metavar="N", help="trials per property")
     _common_flags(p_check)
     return parser
 
@@ -175,37 +177,36 @@ def _cmd_repl(parser: _ArgumentParser, args) -> int:
         print("type :quit to leave, :k RAT for a fresh context, :seed N to reseed")
     lineno = 0
     while True:
-        try:
-            line = input(prompt)
-        except EOFError:
-            break
+        try:  # Ctrl-C drops the line being typed or run, and the next is read
+            try:
+                line = input(prompt).strip()
+            except EOFError:
+                break
+            lineno += 1
+            if not line:
+                continue
+            if line.startswith(":"):
+                command, _, rest = line.partition(" ")
+                rest = rest.strip()
+                if command in (":quit", ":q"):
+                    break
+                if command == ":k":
+                    try:
+                        env = type(env)(context=AlgebraContext(rest), seed=env.seed)
+                    except ValueError:
+                        print(f"invalid rational for :k: {rest!r}", file=sys.stderr)
+                    continue
+                if command == ":seed":
+                    try:
+                        env.reseed(_seed(rest))
+                    except ValueError:
+                        print(f"invalid seed: {rest!r}", file=sys.stderr)
+                    continue
+                print(f"unknown command {command!r}", file=sys.stderr)
+                continue
+            run_line(line, env, lineno)
         except KeyboardInterrupt:
             print()
-            continue
-        lineno += 1
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(":"):
-            command, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if command in (":quit", ":q"):
-                break
-            if command == ":k":
-                try:
-                    env = type(env)(context=AlgebraContext(rest), seed=env.seed)
-                except ValueError:
-                    print(f"invalid rational for :k: {rest!r}", file=sys.stderr)
-                continue
-            if command == ":seed":
-                try:
-                    env.reseed(_seed(rest))
-                except ValueError:
-                    print(f"invalid seed: {rest!r}", file=sys.stderr)
-                continue
-            print(f"unknown command {command!r}", file=sys.stderr)
-            continue
-        run_line(line, env, lineno)
     return 0
 
 
@@ -228,18 +229,22 @@ def _cmd_parse(parser: _ArgumentParser, args) -> int:
 
 def _cmd_check(parser: _ArgumentParser, args) -> int:
     from .checks import run_suite  # here, so that the other commands start without it
-    if args.trials < 0:
-        parser.error("--trials must be >= 0")
+    try:
+        trials = _seed(args.trials)  # by the seed's rule, not argparse's int()
+    except ValueError:
+        trials = -1
+    if trials < 0:
+        parser.error(f"--trials must be an integer >= 0, not {args.trials!r}")
     context = _resolve_k(parser, args.k)
     seed = _resolve_seed(parser, args.seed)
     print(f"seed: {seed}")
-    reports = run_suite(k=context.k, trials=args.trials, seed=seed)
+    reports = run_suite(k=context.k, trials=trials, seed=seed)
     for report in reports:
         print(f"{report.name}: {report.passed}/{report.trials}")
         if report.counterexample:
             print(f"  counterexample: {report.counterexample}")
     ok = sum(1 for r in reports if r.ok)
-    print(f"{ok}/{len(reports)} properties passed ({args.trials} trials each)")
+    print(f"{ok}/{len(reports)} properties passed ({trials} trials each)")
     return 0 if ok == len(reports) else 1
 
 
@@ -260,6 +265,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader has gone; devnull takes the interpreter's last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, and no traceback
+        return 130
     except Exception as exc:
         # Last resort: a crash is an error (2), never a traceback or a "false" (1).
         print(f"internal error: {exc!r}", file=sys.stderr)

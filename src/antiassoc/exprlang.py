@@ -32,7 +32,10 @@ Builtins: ``single``, ``double``, ``triple``, ``set_single``,
 Keyword arguments name term-key columns (``s1``, ``d1``, ``d2``,
 ``t1``, ``t2``, ``t3``); their values are symbol names, never
 variables.  ``replace(e, v, ...)`` takes the new coefficient as its
-second positional argument, and ``set_*(e, 0)`` clears a degree.
+second positional argument, and ``set_*(e, 0)`` clears a degree.  A call
+is checked, before any of its arguments runs, in one order: the name, the
+positional count, each keyword in turn (unknown, given twice, a bad value),
+then a selector's columns.
 ``raaa()`` draws at most :data:`MAX_RAAA_TERMS` terms per degree, and one
 ``*`` of two elements forms at most :data:`MAX_PRODUCT_TERMS` term products.
 Grouping and call parentheses nest at most :data:`MAX_NESTING` deep.
@@ -465,47 +468,6 @@ class Env:
         return self._seed_stream.next_u64()
 
 
-def _arity(call: _Call, count: int) -> None:
-    if len(call.args) != count:
-        raise EvalError(
-            f"{call.name}() takes {count} positional argument(s), got {len(call.args)}",
-            call.pos,
-        )
-
-
-def _eval_degree(call: _Call, env: Env, fn, arity: int) -> AaaElement:
-    _arity(call, arity)
-    if call.kwargs:
-        name = call.kwargs[0][0]
-        raise EvalError(f"{call.name}() takes no keyword arguments ('{name}')", call.pos)
-    return fn(_element(call.args[0])(env), *(value_of(env) for _, value_of in call.args[1:]))
-
-
-def _selector(call: _Call) -> access.KeySelector:
-    groups: dict[str, tuple[str, ...]] = {}
-    for name, pos, value in call.kwargs:
-        if name not in access.KeySelector.__slots__:
-            raise EvalError(f"{call.name}() has no keyword argument '{name}'", call.pos)
-        if name in groups:
-            raise EvalError(f"duplicate keyword argument '{name}'", call.pos)
-        if not isinstance(value, tuple):
-            raise EvalError(f"'{name}' takes symbol names, not a number", pos)
-        groups[name] = value
-    return access.KeySelector(**groups)
-
-
-def _eval_extract(call: _Call, env: Env) -> AaaElement:
-    _arity(call, 1)
-    return access.extract(_element(call.args[0])(env), _selector(call))
-
-
-def _eval_replace(call: _Call, env: Env) -> AaaElement:
-    _arity(call, 2)
-    _, value_of = call.args[1]
-    value = value_of(env)  # the value runs before the element it goes into
-    return access.replace(_element(call.args[0])(env), _selector(call), value)
-
-
 # Per degree, so that no line runs without limit; rng.raaa itself is not capped.
 MAX_RAAA_TERMS = 100_000
 # Term products per '*', so that no line runs without limit; core.mul itself is
@@ -517,53 +479,80 @@ MAX_PRODUCT_TERMS = 2_000_000
 MAX_NESTING = 100
 
 
-def _eval_raaa(call: _Call, env: Env) -> AaaElement:
-    if len(call.args) > 1:
-        raise EvalError("raaa() takes at most one positional argument (the seed)", call.pos)
-    if call.args:
-        pos, value_of = call.args[0]
-        seed = value_of(env)
-        if not isinstance(seed, int):
-            raise EvalError("raaa() seed must be an integer", pos)
-    opts: dict = {}
-    for name, pos, value in call.kwargs:  # checked in _selector's order
-        if name not in ("alphabet", "n1", "n2", "n3"):
-            raise EvalError(f"raaa() has no keyword argument '{name}'", call.pos)
-        if name in opts:
-            raise EvalError(f"duplicate keyword argument '{name}'", call.pos)
-        if name == "alphabet":
-            if not isinstance(value, tuple):
-                raise EvalError("'alphabet' takes symbol names", pos)
-        elif not isinstance(value, int):  # a literal, so never negative
-            raise EvalError(f"'{name}' must be an integer >= 0", pos)
-        elif value > MAX_RAAA_TERMS:
-            raise EvalError(f"'{name}' must be at most {MAX_RAAA_TERMS}", pos)
-        opts[name] = value
-    if not call.args:
-        seed = env.next_seed()  # only now, so that a failed call takes no seed
-    return raaa(seed, **opts)
+# A row of _BUILTINS is (the positional counts it takes, the error for any
+# other count, {keyword: check}, run).  check(name, value) returns None, or
+# the error for a bad value; run(env, args, options) runs the arguments.
+
+def _symbols(name: str, value) -> Optional[str]:
+    return None if isinstance(value, tuple) else f"'{name}' takes symbol names, not a number"
 
 
+def _term_count(name: str, value) -> Optional[str]:
+    if not isinstance(value, int):  # a literal, so never negative
+        return f"'{name}' must be an integer >= 0"
+    return f"'{name}' must be at most {MAX_RAAA_TERMS}" if value > MAX_RAAA_TERMS else None
+
+
+def _degree(count: int, name: str) -> tuple:
+    """The row for ``access.<name>(element, *values)``, the element run first.  The
+    function is looked up as the call runs, so a wrapper put on it later is seen."""
+    def run(env, args, _):
+        return getattr(access, name)(_element(args[0])(env), *(a[1](env) for a in args[1:]))
+
+    return (count,), f"takes {count} positional argument(s), got {{}}", {}, run
+
+
+def _replace(env: Env, args: tuple, selector) -> AaaElement:
+    value = args[1][1](env)  # the value runs before the element it goes into
+    return access.replace(_element(args[0])(env), selector, value)
+
+
+def _raaa(env: Env, args: tuple, options: dict) -> AaaElement:
+    seed = args[0][1](env) if args else env.next_seed()
+    if not isinstance(seed, int):
+        raise EvalError("raaa() seed must be an integer", args[0][0])
+    return raaa(seed, **options)
+
+
+_SELECTOR = dict.fromkeys(access.KeySelector.__slots__, _symbols)
 _BUILTINS = {
-    "single": lambda call, env: _eval_degree(call, env, access.single, 1),
-    "double": lambda call, env: _eval_degree(call, env, access.double, 1),
-    "triple": lambda call, env: _eval_degree(call, env, access.triple, 1),
-    "set_single": lambda call, env: _eval_degree(call, env, access.set_single, 2),
-    "set_double": lambda call, env: _eval_degree(call, env, access.set_double, 2),
-    "set_triple": lambda call, env: _eval_degree(call, env, access.set_triple, 2),
-    "extract": _eval_extract,
-    "replace": _eval_replace,
-    "raaa": _eval_raaa,
+    **{name: _degree(1, name) for name in ("single", "double", "triple")},
+    **{name: _degree(2, name) for name in ("set_single", "set_double", "set_triple")},
+    "extract": ((1,), "takes 1 positional argument(s), got {}", _SELECTOR,
+                lambda env, args, selector: access.extract(_element(args[0])(env), selector)),
+    "replace": ((2,), "takes 2 positional argument(s), got {}", _SELECTOR, _replace),
+    "raaa": ((0, 1), "takes at most one positional argument (the seed)",
+             {"alphabet": lambda name, value: None if isinstance(value, tuple)
+              else "'alphabet' takes symbol names",
+              "n1": _term_count, "n2": _term_count, "n3": _term_count}, _raaa),
 }
 
 
 def _call(call: _Call, env: Env) -> AaaElement:
-    """Run a builtin; unknown names, arity and kwargs are run-time errors."""
-    handler = _BUILTINS.get(call.name)
-    if handler is None:
+    """Check a builtin call in the order the module docstring gives, then run it.
+    Every error is a run-time error, and a refused call runs none of its arguments."""
+    row = _BUILTINS.get(call.name)
+    if row is None:
         raise EvalError(f"unknown function '{call.name}'", call.pos)
+    counts, takes, keywords, run = row
+    if len(call.args) not in counts:
+        raise EvalError(f"{call.name}() {takes.format(len(call.args))}", call.pos)
+    options: dict = {}
+    for name, pos, value in call.kwargs:
+        if name not in keywords:
+            if keywords:
+                raise EvalError(f"{call.name}() has no keyword argument '{name}'", call.pos)
+            raise EvalError(f"{call.name}() takes no keyword arguments ('{name}')", call.pos)
+        if name in options:
+            raise EvalError(f"duplicate keyword argument '{name}'", call.pos)
+        problem = keywords[name](name, value)
+        if problem is not None:
+            raise EvalError(problem, pos)
+        options[name] = value
     try:
-        return handler(call, env)
+        if keywords is _SELECTOR:
+            options = access.KeySelector(**options)
+        return run(env, call.args, options)
     except ExprError:
         raise
     except (AlgebraError, TypeError, ValueError) as exc:

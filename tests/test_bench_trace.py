@@ -1,10 +1,12 @@
 """The benchmark's traced run can still wrap the program.
 
 ``bench/tracing.py`` replaces named entry points of ``antiassoc`` (such as
-``checks.run_suite``, ``_oracle.naive_mul`` and ``core.add``/``sub``/``neg``/
-``scalar_mul``/``mul``) and reads ``run_suite``'s reports.  Installing its
-tracer fails on a name the program no longer has, so this test keeps a
-renamed entry point from breaking ``bench/run.py --trace 1`` unnoticed.
+``checks.run_suite``, ``_oracle.naive_mul``, ``core.add``/``sub``/``neg``/
+``scalar_mul``/``mul`` and each ``access`` function) and reads ``run_suite``'s
+reports.  Installing its tracer fails on a name the program no longer has, so
+these tests keep a renamed entry point from breaking ``bench/run.py --trace 1``
+unnoticed, and a caller that bound an entry point at import from going
+uncounted.
 """
 
 from __future__ import annotations
@@ -31,3 +33,23 @@ def test_a_traced_check_run_counts_its_layers(monkeypatch):
     assert metrics["oracle.naive_mul.calls"] == 1
     assert metrics["core.mul.calls"] > 0 and metrics["core.linear.calls"] > 0
     assert metrics["textio.parse.calls"] == 1
+
+
+def test_a_traced_line_counts_each_builtin_call(monkeypatch):
+    # A builtin that bound its access function at import would run unwrapped.
+    monkeypatch.setattr(sys, "path", [BENCH, *sys.path])
+    import run
+    import tracing
+
+    modules = run.import_program()
+    exprlang = modules["exprlang"]
+    tracer = tracing.Tracer(modules)
+    with tracer.installed():
+        exprlang.run_program(
+            "sym a b; let x = a + a*b; single(x); double(x); triple(x); set_single(x, 0); "
+            "set_double(x, 0); set_triple(x, 0); extract(x, s1=a); replace(x, 2, s1=b); raaa(1)",
+            exprlang.Env(),
+        )
+    metrics = tracing.layer_metrics(tracer.layers())
+    assert metrics["access.calls"] == 8
+    assert metrics["rng.raaa.calls"] == 1

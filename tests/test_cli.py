@@ -123,13 +123,13 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError('boom')\n"
 
-    def test_interrupt_is_not_an_internal_error(self, monkeypatch):
+    def test_interrupt_is_not_an_internal_error(self, monkeypatch, capsys):
         def interrupt(src, env):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("antiassoc.exprlang.run_program", interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["eval", "sym a; a"])
+        assert cli.main(["eval", "sym a; a"]) == 130
+        assert capsys.readouterr() == ("", "")
 
     def test_raaa_over_the_term_cap_exits_2_at_once(self):
         proc = subprocess.run(
@@ -341,6 +341,19 @@ class TestRepl:
             f"line 3: col 1: number longer than {sys.get_int_max_str_digits()} digits",
         ]
 
+    def test_an_interrupted_line_is_dropped(self, monkeypatch, capsys):
+        from antiassoc import exprlang
+
+        def interrupt(context, x, y):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(exprlang, "mul", interrupt)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("sym a; let x = a*a\nx\na\n"))
+        assert cli.main(["repl"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "\n+1a\n"  # a new line, as after Ctrl-C at the prompt
+        assert captured.err == "line 2: col 1: unbound variable 'x'\n"
+
     def test_reseed_command(self):
         script = ":seed 4\nraaa()\n"
         one = run_cli("repl", stdin=script)
@@ -353,7 +366,7 @@ _BAD_SEEDS = ["1_0", " 10 ", "١٠", "abc", "1e3", "1.5", ""]
 
 
 class TestSeeds:
-    """``--seed``, ``AAA_SEED`` and ``:seed`` read seeds by one grammar."""
+    """``--seed``, ``AAA_SEED``, ``:seed`` and ``--trials`` read integers by one grammar."""
 
     @pytest.mark.parametrize("text", _BAD_SEEDS)
     def test_flag_refuses(self, capsys, text):
@@ -392,6 +405,22 @@ class TestSeeds:
         monkeypatch.setattr(sys, "stdin", io.StringIO(f":seed {text}\n"))
         assert cli.main(["repl"]) == 0
         assert capsys.readouterr().err == f"invalid seed: {text!r}\n"
+
+    @pytest.mark.parametrize("text", _BAD_SEEDS)
+    def test_trials_flag_refuses(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--trials", text, "--seed", "1"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"aaa: error: --trials must be an integer >= 0, not {text!r}\n"
+        )
+
+    @pytest.mark.parametrize("text, trials", [("+2", 2), ("-0", 0), ("002", 2)])
+    def test_trials_in_signed_digits(self, capsys, text, trials):
+        assert cli.main(["check", "--trials", text, "--seed", "1"]) == 0
+        assert capsys.readouterr().out.endswith(f"passed ({trials} trials each)\n")
 
     @pytest.mark.parametrize("text", ["10", "+10", "-10", "010"])
     def test_signed_digits_are_seeds(self, monkeypatch, capsys, text):
@@ -531,13 +560,13 @@ class TestCollector:
         assert cli.main(["eval", "sym a; a"]) == 2
         assert gc.isenabled()
 
-    def test_on_again_after_an_interrupt(self, monkeypatch):
+    def test_on_again_after_an_interrupt(self, monkeypatch, capsys):
         def interrupt(src, env):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("antiassoc.exprlang.run_program", interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["eval", "sym a; a"])
+        assert cli.main(["eval", "sym a; a"]) == 130
+        assert capsys.readouterr().err == ""
         assert gc.isenabled()
 
     def test_a_caller_that_turned_it_off_finds_it_off(self, capsys):

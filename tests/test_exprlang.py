@@ -553,6 +553,8 @@ class TestErrors:
              "duplicate keyword argument 'alphabet'", 1),
             ("sym a; replace(a, 1, s1=a, s1=b)", EvalError, "duplicate keyword argument 's1'", 8),
             ("sym a; extract(a, s1=2)", EvalError, "'s1' takes symbol names, not a number", 22),
+            ("sym a; extract(a, s1=2, q9=a)", EvalError,
+             "'s1' takes symbol names, not a number", 22),
             ("raaa(alphabet=3)", EvalError, "'alphabet' takes symbol names", 15),
             ("raaa(n1=3/2)", EvalError, "'n1' must be an integer >= 0", 9),
             ("raaa(n1=-1)", ExprSyntaxError,
@@ -624,7 +626,10 @@ class TestPartialRun:
     @pytest.mark.parametrize(
         "src",
         ["raaa(n1=3/2)", "raaa(alphabet=3)", "raaa(s1=a)", "raaa(n1=1, n3=100001)",
-         "raaa(n2=1, n2=2)"],
+         "raaa(n2=1, n2=2)",
+         # a call is checked before any of its arguments runs
+         "extract(raaa(), q9=a)", "replace(raaa(), 1, s1=a, s1=b)",
+         "extract(raaa(), d1=(a,b), d2=(c))", "raaa(raaa(), n1=3/2)"],
     )
     def test_failed_raaa_takes_no_seed(self, src):
         env = Env(seed=5)
