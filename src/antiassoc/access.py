@@ -74,21 +74,29 @@ class KeySelector(_Value):
 
     __slots__ = ("s1", "d1", "d2", "t1", "t2", "t3")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         s1: Sequence[str] = (),
         d1: Sequence[str] = (),
         d2: Sequence[str] = (),
         t1: Sequence[str] = (),
         t2: Sequence[str] = (),
         t3: Sequence[str] = (),
-    ) -> None:
-        for name, col in zip(self.__slots__, (s1, d1, d2, t1, t2, t3)):
-            object.__setattr__(self, name, tuple(_check_symbols(col)))
-        if len(self.d1) != len(self.d2):
+    ) -> KeySelector:
+        """The checked constructor: every name through ``check_symbol``."""
+        return cls._trusted(*(tuple(_check_symbols(c)) for c in (s1, d1, d2, t1, t2, t3)))
+
+    @classmethod
+    def _trusted(cls, s1=(), d1=(), d2=(), t1=(), t2=(), t3=()) -> KeySelector:
+        """A selector over tuples of checked names; the one check of column lengths."""
+        if len(d1) != len(d2):
             raise LengthMismatchError("d1 and d2 must have equal lengths")
-        if not (len(self.t1) == len(self.t2) == len(self.t3)):
+        if not (len(t1) == len(t2) == len(t3)):
             raise LengthMismatchError("t1, t2 and t3 must have equal lengths")
+        selector = object.__new__(cls)
+        for name, col in zip(cls.__slots__, (s1, d1, d2, t1, t2, t3)):
+            object.__setattr__(selector, name, col)
+        return selector
 
     def keys(self) -> list[TermKey]:
         """The selected keys, degree-1 group first.  May contain repeats."""

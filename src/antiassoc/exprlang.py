@@ -23,9 +23,14 @@ tighter than ``*``::
 
 The lexer is one ``findall`` pass of one compiled pattern.  Whitespace
 is any character for which ``str.isspace()`` holds (``\\s`` in ``re``), and
-names follow :data:`core.SYMBOL_RE`.  Numbers are exact rational literals
-(``2``, ``3/2``).  They are not elements: the algebra has no unit, so
-``2*a`` is scalar action while ``2 + a`` or ``a*2`` is an error.
+names follow :data:`core.SYMBOL_RE`.  A symbol list, ``'('`` and one or more
+names that are not keywords, separated by ``','``, and ``')'``, is one token
+whose value is its names, so its names are checked once, by that match.  A
+keyword argument takes the names as they are; a call or a group such as
+``single(a, b)`` or ``(a, b)`` reads the list's own tokens again.  Numbers
+are exact rational literals (``2``, ``3/2``).  They are not elements: the
+algebra has no unit, so ``2*a`` is scalar action while ``2 + a`` or ``a*2``
+is an error.
 
 Builtins: ``single``, ``double``, ``triple``, ``set_single``,
 ``set_double``, ``set_triple``, ``extract``, ``replace``, ``raaa``.
@@ -54,7 +59,6 @@ from .core import (
     AaaElement,
     AlgebraContext,
     AlgebraError,
-    Coefficient,
     DEFAULT_CONTEXT,
     _sum,
     as_coeff,
@@ -113,25 +117,37 @@ class Token(NamedTuple):
     kind: str  # 'name', 'number', 'sym', 'let', one of '+-*()=,;', or 'end'
     text: str
     pos: int
-    value: Optional[Coefficient] = None
+    value: object = None  # a number's value, or the names of a symbol list
 
 
 _KEYWORDS = frozenset({"sym", "let"})
+_LISTED = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z_0-9])){SYMBOL_RE.pattern}"
 # A match is a token and the whitespace before it; the last group takes any
-# other non-space character, so the matches are contiguous.
-_TOKEN_RE = re.compile(rf"(\s*)(?:([-+*()=,;])|({SYMBOL_RE.pattern})|([0-9]+(?:/[0-9]+)?)|(\S))")
+# other non-space character, so the matches are contiguous.  A symbol list,
+# '(' and one or more names that are not keywords, separated by ',', and ')',
+# is one '(' token whose value is the names: they are matched here, once.
+_TOKEN_RE = re.compile(
+    rf"(\s*)(?:(\(\s*{_LISTED}(?:\s*,\s*{_LISTED})*\s*\))|([-+*()=,;])"
+    rf"|({SYMBOL_RE.pattern})|([0-9]+(?:/[0-9]+)?)|(\S))"
+)
 
 
 def tokenize(src: str) -> list[Token]:
     """Split source into tokens with 1-based positions; ends with 'end'.
 
     One ``findall`` pass matches every token, and the columns are a running
-    sum of the lengths matched.
+    sum of the lengths matched.  A symbol list such as ``(a, b)`` is one
+    token: ``'('`` at its column, with the tuple of its names as its value.
     """
+    return _lex(src, 0, len(src))
+
+
+def _lex(src: str, start: int, end: int) -> list[Token]:
+    """The tokens of ``src[start:end]`` and 'end', at the columns of ``src``."""
     tokens: list[Token] = []
     append, new = tokens.append, tuple.__new__  # new() skips NamedTuple's __new__
-    pos = 1
-    for space, punct, name, number, other in _TOKEN_RE.findall(src):
+    pos = start + 1
+    for space, names, punct, name, number, other in _TOKEN_RE.findall(src, start, end):
         pos += len(space)
         if punct:
             append(new(Token, (punct, punct, pos, None)))
@@ -139,6 +155,9 @@ def tokenize(src: str) -> list[Token]:
         elif name:
             append(new(Token, (name if name in _KEYWORDS else "name", name, pos, None)))
             pos += len(name)
+        elif names:
+            append(new(Token, ("(", "(", pos, tuple(names[1:-1].replace(",", " ").split()))))
+            pos += len(names)
         elif number:
             num, slash, den = number.partition("/")
             try:
@@ -152,7 +171,7 @@ def tokenize(src: str) -> list[Token]:
             pos += len(number)
         else:
             raise LexError(f"illegal character {other!r}", pos)
-    append(new(Token, ("end", "", len(src) + 1, None)))
+    append(new(Token, ("end", "", end + 1, None)))
     return tokens
 
 
@@ -171,7 +190,8 @@ class _Call(NamedTuple):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], src: str):
+        self.src = src
         self.tokens = tokens
         self.i = 0
         self.tok = tokens[0]
@@ -287,8 +307,19 @@ class _Parser:
         return minus.pos, _negation(node[1]) if odd else node[1]
 
     def nested(self, read: Callable):
-        """Read '(', ``read()`` one level deeper and ')'; nothing else starts an atom."""
+        """Read '(', ``read()`` one level deeper and ')'; nothing else starts an atom.
+
+        A symbol list is read from its own tokens, so a call or a group reads,
+        and fails, as if its names had been lexed one by one.
+        """
         tok = self.expect("(", "an expression")
+        if tok.value is not None:
+            outer, i, close = self.tokens, self.i, self.src.index(")", tok.pos)
+            self.tokens = [tok._replace(value=None), *_lex(self.src, tok.pos, close + 1)]
+            self.i, self.tok = 0, self.tokens[0]
+            inner = self.nested(read)
+            self.tokens, self.i, self.tok = outer, i, outer[i]
+            return inner
         if self.depth == MAX_NESTING:
             raise ExprSyntaxError("expression nested too deeply", tok.pos)
         self.depth += 1
@@ -327,6 +358,8 @@ class _Parser:
             return tok.pos, (tok.text,)
         if tok.kind == "(":
             self.advance()
+            if tok.value is not None:  # a symbol list
+                return tok.pos, tok.value
             names = [self.expect("name", "a symbol name").text]
             while self.tok.kind == ",":
                 self.advance()
@@ -438,7 +471,7 @@ def parse_program(src: str) -> list[Callable]:
     A chain such as ``a+b-c`` or ``a*b*c``, or a run of unary minuses, is
     not nesting, and may be of any length.
     """
-    return _Parser(tokenize(src)).parse_program()
+    return _Parser(tokenize(src), src).parse_program()
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +584,7 @@ def _call(call: _Call, env: Env) -> AaaElement:
         options[name] = value
     try:
         if keywords is _SELECTOR:
-            options = access.KeySelector(**options)
+            options = access.KeySelector._trusted(**options)  # names the lexer matched
         return run(env, call.args, options)
     except ExprError:
         raise

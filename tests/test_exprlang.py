@@ -69,6 +69,23 @@ class TestTokenize:
         tokens = tokenize("a + b")
         assert [(t.text, t.pos) for t in tokens[:3]] == [("a", 1), ("+", 3), ("b", 5)]
 
+    def test_symbol_list_is_one_token(self):
+        tokens = tokenize("extract(v, s1=(a, b ,\tc), d1=(a))")
+        assert [t.kind for t in tokens] == [
+            "name", "(", "name", ",", "name", "=", "(", ",", "name", "=", "(", ")", "end",
+        ]
+        assert [(t.text, t.pos, t.value) for t in tokens if t.value is not None] == [
+            ("(", 15, ("a", "b", "c")),
+            ("(", 30, ("a",)),
+        ]
+
+    @pytest.mark.parametrize(
+        "src", ["(a, sym)", "(let)", "(sym, a)", "(a, 2)", "(a,)", "(a b)", "()"]
+    )
+    def test_not_a_symbol_list(self, src):
+        first = tokenize(src)[0]
+        assert (first.kind, first.pos, first.value) == ("(", 1, None)
+
     def test_illegal_character(self):
         with pytest.raises(LexError) as err:
             tokenize("a $ b")
@@ -135,6 +152,21 @@ def _reference_tokenize(src):
     return tokens
 
 
+def _reference_lexed(src):
+    """``_reference_tokenize(src)`` with each ``( NAME (, NAME)* )`` run as one
+    '(' token at its column whose value is the names, as ``tokenize`` lexes it."""
+    tokens = _reference_tokenize(src)
+    shapes = {"(": "(", ",": ",", ")": ")", "name": "n"}  # a keyword's kind is not 'name'
+    shape = "".join(shapes.get(kind, "x") for kind, *_ in tokens)
+    out, done = [], 0
+    for run in re.finditer(r"\(n(?:,n)*\)", shape):
+        start, end = run.span()
+        out += tokens[done:start]
+        out.append(("(", "(", tokens[start][2], tuple(t[1] for t in tokens[start + 1 : end : 2])))
+        done = end
+    return out + tokens[done:]
+
+
 def _lex_outcome(lexer, src):
     """Each token as (kind, text, pos, value, type of value), or the error."""
     try:
@@ -145,7 +177,9 @@ def _lex_outcome(lexer, src):
 
 _STATEMENT_PIECES = st.sampled_from(
     ["sym", "let", "a", "b_1", "v0", "raaa", "extract", "s1", "2", "3/2", "10/4", "0",
-     "+", "-", "*", "(", ")", "=", ",", ";"]
+     "+", "-", "*", "(", ")", "=", ",", ";",
+     # symbol lists, and near misses of one
+     "(a, b_1)", "(\u3000v0\x85,\u2028a\t)", "(a, sym)", "(let)", "(b_1, a,)", "(a, 2)"]
 )
 _LEX_EDIT_CHARS = "+-*/()=,;0123456789 ab_\u00e9\u00b2\t \x85"
 
@@ -175,7 +209,7 @@ class TestTokenizeAgainstReference:
     @settings(max_examples=300)
     @given(_mutated_statement())
     def test_same_tokens_or_same_error_as_the_character_walker(self, src):
-        assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_tokenize, src)
+        assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_lexed, src)
 
     @pytest.mark.parametrize(
         "src",
@@ -198,7 +232,7 @@ class TestTokenizeAgainstReference:
         ],
     )
     def test_fixed_rows(self, src):
-        assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_tokenize, src)
+        assert _lex_outcome(tokenize, src) == _lex_outcome(_reference_lexed, src)
 
 
 _NESTINGS = [("(", ")"), ("-(", ")"), ("single(", ")"), ("set_single(a, ", ")"), ("-", "")]
@@ -570,6 +604,18 @@ class TestErrors:
             ("single(" * 101 + "a" + ")" * 101, ExprSyntaxError,
              "expression nested too deeply", 707),
             ("let v = --2", ScalarOperandError, NOT_ELEMENT, 9),
+            # a symbol list, lexed as one token, wherever one can stand
+            ("sym a b; single(a, b)", EvalError,
+             "single() takes 1 positional argument(s), got 2", 10),
+            ("sym a b; (a, b)", ExprSyntaxError, "expected ')', found ','", 12),
+            ("sym a b c; a (b, c)", EvalError, "unknown function 'a'", 12),
+            ("sym a b; let (a, b) = a", ExprSyntaxError, "expected a name to bind, found '('", 14),
+            ("sym a; extract(a, s1=(a, sym))", ExprSyntaxError,
+             "expected a symbol name, found 'sym'", 26),
+            ("sym a; extract(a, s1=(a,))", ExprSyntaxError,
+             "expected a symbol name, found ')'", 25),
+            ("single(" * 100 + "set_single(a, b)" + ")" * 100, ExprSyntaxError,
+             "expression nested too deeply", 711),
         ],
     )
     def test_error_table(self, src, cls, message, pos):
