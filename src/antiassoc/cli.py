@@ -118,17 +118,15 @@ def _session(parser: _ArgumentParser, args):
             print(f"line {lineno}: col {exc.pos}: {exc.message}", file=sys.stderr)
             return False, False
         any_false = False
-        for value in results:
+        for value in results:  # one write per line, header included: print writes its end apart
             if isinstance(value, bool):
                 any_false = any_false or not value
-                print("true" if value else "false")
+                sys.stdout.write("true\n" if value else "false\n")
             elif value is not None:
                 text = _serialize_or_report(value, lineno)
                 if text is None:
                     return False, False
-                if tty:
-                    print(HEADER)
-                print(text)
+                sys.stdout.write(f"{HEADER}\n{text}\n" if tty else text + "\n")
         return True, any_false
 
     env = Env(context=_resolve_k(parser, args.k), seed=_resolve_seed(parser, args.seed))
@@ -221,7 +219,7 @@ def _cmd_parse(parser: _ArgumentParser, args) -> int:
         out = _serialize_or_report(element, lineno)
         if out is None:
             return 2
-        print(out)
+        sys.stdout.write(out + "\n")
         if args.roundtrip and out != line:
             status = 1
     return status

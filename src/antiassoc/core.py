@@ -353,26 +353,43 @@ def _ints(m: dict) -> None:
             m[key] = c.numerator
 
 
-def _sum(first: AaaElement, rest: Iterable[tuple[bool, AaaElement]]) -> AaaElement:
-    """``first`` plus or minus each ``(is_plus, element)`` of ``rest``.
+def _sum(terms: Iterable[tuple[Coefficient, AaaElement]]) -> AaaElement:
+    """The sum of ``scale * element`` over the ``(scale, element)`` pairs of ``terms``,
+    of which there is at least one.
 
-    ``first``'s maps are copied once and every later term is merged into the
-    copies, so the time is linear in the terms.  Only a sum is normalized.
+    The first element's maps are copied once (at C speed when its scale is 1,
+    by one comprehension each when not), and every later term is merged into
+    the copies, so the time is linear in the terms.  A scale of 0 merges
+    nothing.  Integral Fractions become ints, and zeros are dropped.
     """
-    maps = dict(first.singles), dict(first.doubles), dict(first.triples)
-    for plus, e in rest:
+    maps = None
+    for scale, e in terms:
+        if maps is None:
+            if scale == 1:
+                maps = dict(e.singles), dict(e.doubles), dict(e.triples)
+                continue
+            maps = [{k: scale * c for k, c in m.items()} if scale else {} for m in e._values()]
+            if scale != -1:
+                for m in maps:
+                    _ints(m)
+            continue
+        if not scale:
+            continue
+        one = scale == 1
         for out, m in zip(maps, (e.singles, e.doubles, e.triples)):
+            if not m:
+                continue
             get = out.get
             for key, coeff in m.items():
+                if not one:
+                    coeff = scale * coeff
                 total = get(key)
-                if total is None:
-                    out[key] = coeff if plus else -coeff
-                    continue
-                total = total + coeff if plus else total - coeff
-                if type(total) is not int and total.denominator == 1:
-                    total = total.numerator
-                if total:
-                    out[key] = total
+                if total is not None:
+                    coeff = total + coeff
+                if type(coeff) is not int and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                if coeff:
+                    out[key] = coeff
                 else:
                     del out[key]
     return AaaElement._trusted(*maps)
@@ -380,19 +397,15 @@ def _sum(first: AaaElement, rest: Iterable[tuple[bool, AaaElement]]) -> AaaEleme
 
 def add(a: AaaElement, b: AaaElement) -> AaaElement:
     """Elementwise sum; keys whose coefficients cancel are removed."""
-    return _sum(a, ((True, b),))
+    return _sum(((1, a), (1, b)))
 
 
 def neg(a: AaaElement) -> AaaElement:
-    return AaaElement._trusted(
-        {k: -c for k, c in a.singles.items()},
-        {k: -c for k, c in a.doubles.items()},
-        {k: -c for k, c in a.triples.items()},
-    )
+    return _sum(((-1, a),))
 
 
 def sub(a: AaaElement, b: AaaElement) -> AaaElement:
-    return _sum(a, ((False, b),))
+    return _sum(((1, a), (-1, b)))
 
 
 def scalar_mul(c: object, a: AaaElement) -> AaaElement:

@@ -64,8 +64,6 @@ from .core import (
     as_coeff,
     from_symbols,
     mul,
-    neg,
-    scalar_mul,
 )
 from .rng import SplitMix64, raaa
 
@@ -176,9 +174,24 @@ def _lex(src: str, start: int, end: int) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Compilation.  An expression compiles to ``(pos, run)``: ``run(env)`` gives
-# its value, and errors about that value point at column ``pos``.  Closures
-# look up ``_sum``, ``mul``, ``access`` etc. as module globals when they run.
+# Compilation.  An expression compiles to a node whose first field, ``pos``, is
+# the column that errors about its value point at.  A name, a call or a product
+# is ``(pos, run)``, and ``run(env)`` gives an element.  Numbers come only from
+# literals, so they are known here: ``_Number((pos, value))``.  A '+'/'-' chain,
+# with each literal left factor of one factor, unary minus and group inside it
+# folded in, is ``_Chain((pos, items))``: its value is the sum of ``scale *
+# run(env)`` over its items ``(scale, column, run, message)``, and a value that
+# is not an element is a ScalarOperandError(message, column).  The two are bare
+# tuple types, as a NamedTuple costs start-up time.  Closures look up ``_sum``,
+# ``mul``, ``access`` etc. as module globals when they run.
+
+class _Number(tuple):
+    __slots__ = ()
+
+
+class _Chain(tuple):
+    __slots__ = ()
+
 
 class _Call(NamedTuple):
     """A builtin call; the builtin evaluates its own arguments."""
@@ -261,27 +274,31 @@ class _Parser:
     # A chain of '+'/'-' or of '*' compiles to one closure, so its length is
     # not limited by recursion; its column is that of its last operator.
 
-    def expr(self) -> tuple[int, Callable]:
-        first = self.term()
+    def expr(self) -> tuple:
+        node = self.term()
         if self.tok.kind not in ("+", "-"):
-            return first
-        rest = []
+            return node
+        items = [*_items(node, 1)]
         while self.tok.kind in ("+", "-"):
             op = self.advance()
-            rest.append((op.kind == "+", *self.term()))
-        return op.pos, _linear(first, rest)
+            items += _items(self.term(), 1 if op.kind == "+" else -1)
+        return _Chain((op.pos, items))
 
-    def term(self) -> tuple[int, Callable]:
+    def term(self) -> tuple:
         first = self.unary()
         if self.tok.kind != "*":
             return first
         rest = []
         while self.tok.kind == "*":
             op = self.advance()
-            rest.append((op.pos, *self.unary()))
-        return op.pos, _product(first[1], rest)
+            factor = self.unary()
+            if type(first) is _Number:  # a literal left factor scales its one factor
+                first = _Chain((op.pos, _items(factor, first[1], _LEFT_FACTOR)))
+            else:
+                rest.append((op.pos, *_plain(factor)))
+        return (op.pos, _product(_plain(first)[1], rest)) if rest else first
 
-    def unary(self) -> tuple[int, Callable]:
+    def unary(self) -> tuple:
         # '-'* atom: a loop, then the atom in this frame, so nesting costs few frames.
         minus = self.tok
         odd = False
@@ -291,8 +308,7 @@ class _Parser:
         tok = self.tok
         if tok.kind == "number":
             self.advance()
-            value = tok.value
-            node = tok.pos, lambda env: value
+            node = _Number((tok.pos, tok.value))
         elif tok.kind == "name":
             self.advance()
             if self.tok.kind == "(":
@@ -304,7 +320,9 @@ class _Parser:
             node = self.nested(self.expr)
         if minus is tok:
             return node
-        return minus.pos, _negation(node[1]) if odd else node[1]
+        if type(node) is _Number:
+            return _Number((minus.pos, -node[1] if odd else node[1]))
+        return _Chain((minus.pos, _items(node, -1 if odd else 1)))
 
     def nested(self, read: Callable):
         """Read '(', ``read()`` one level deeper and ')'; nothing else starts an atom.
@@ -343,7 +361,7 @@ class _Parser:
                     raise ExprSyntaxError(
                         "positional argument after keyword argument", self.tok.pos
                     )
-                args.append(self.expr())
+                args.append(_plain(self.expr()))
             if self.tok.kind != ",":
                 return tuple(args), tuple(kwargs)
             self.advance()
@@ -360,25 +378,25 @@ class _Parser:
             self.advance()
             if tok.value is not None:  # a symbol list
                 return tok.pos, tok.value
-            names = [self.expect("name", "a symbol name").text]
+            self.expect("name", "a symbol name")  # the lexer matched no list: find the error
             while self.tok.kind == ",":
                 self.advance()
-                names.append(self.expect("name", "a symbol name").text)
+                self.expect("name", "a symbol name")
             self.expect(")")
-            return tok.pos, tuple(names)
         raise ExprSyntaxError(
             "expected a number, a symbol name or a parenthesized symbol list", tok.pos
         )
 
 
 _NOT_ELEMENT = "a bare number cannot be used as an element (the algebra has no unit)"
+_LEFT_FACTOR = "a number may only appear as the left factor of '*'"
 
 # The operator closures test each operand with isinstance inline, not through
 # _element: one more call per operand costs the REPL measurably.
 
-def _element(expr: tuple[int, Callable]) -> Callable:
+def _element(node: tuple) -> Callable:
     """Compile an expression whose value must be an element."""
-    pos, value_of = expr
+    pos, value_of = _plain(node)
 
     def run(env):
         value = value_of(env)
@@ -399,53 +417,45 @@ def _variable(name: str, pos: int) -> Callable:
     return run
 
 
-def _negation(value_of: Callable) -> Callable:
-    def run(env):
-        value = value_of(env)
-        return neg(value) if isinstance(value, AaaElement) else -value
+def _items(node: tuple, scale, message: str = _NOT_ELEMENT) -> list:
+    """``scale`` times ``node`` as chain items; a chain's items keep their messages."""
+    if type(node) is tuple:  # (pos, run), the common operand: no _plain call
+        return [(scale, *node, message)]
+    if type(node) is _Chain:
+        items = node[1]
+        return items if scale == 1 else [(scale * s, p, r, m) for s, p, r, m in items]
+    return [(scale, *_plain(node), message)]
 
-    return run
 
+def _plain(node: tuple) -> tuple[int, Callable]:
+    """``(pos, run)`` for any node."""
+    if type(node) is _Number:
+        pos, value = node
+        return pos, lambda env: value
+    if type(node) is not _Chain:
+        return node
+    pos, items = node
 
-def _linear(first: tuple[int, Callable], rest: list[tuple[bool, int, Callable]]) -> Callable:
-    """Sum a chain in one pass; ``rest`` holds (is '+', pos, run) per operand.
+    def operands(env):  # run and checked left to right as ``core._sum`` merges them
+        for scale, column, value_of, message in items:
+            value = value_of(env)
+            if not isinstance(value, AaaElement):
+                raise ScalarOperandError(message, column)
+            yield scale, value
 
-    The operands run and are checked left to right as ``core._sum`` merges
-    them, so a chain takes time linear in its operands' terms.
-    """
-    fpos, frun = first
-
-    def operands(env):
-        for plus, pos, value_of in rest:
-            y = value_of(env)
-            if not isinstance(y, AaaElement):
-                raise ScalarOperandError(_NOT_ELEMENT, pos)
-            yield plus, y
-
-    def run(env):
-        x = frun(env)
-        if not isinstance(x, AaaElement):
-            raise ScalarOperandError(_NOT_ELEMENT, fpos)
-        return _sum(x, operands(env))
-
-    return run
+    return pos, lambda env: _sum(operands(env))
 
 
 def _product(first: Callable, rest: list[tuple[int, int, Callable]]) -> Callable:
-    """Element times element is ``mul``; a number as the left factor scales.
-
-    ``rest`` holds (column of '*', column of the factor, run) per factor.
-    """
+    """Elements times elements; ``rest`` holds (column of '*', column of the factor,
+    run) per factor.  A literal left factor never gets here: it is a chain's scale."""
 
     def run(env):
         x = first(env)
         for star, pos, value_of in rest:
             y = value_of(env)
             if not isinstance(y, AaaElement):
-                raise ScalarOperandError("a number may only appear as the left factor of '*'", pos)
-            if not isinstance(x, AaaElement):
-                x = scalar_mul(x, y)
-                continue
+                raise ScalarOperandError(_LEFT_FACTOR, pos)
             # mul pairs singles with singles, doubles with singles, singles with doubles
             n1 = len(x.singles)
             pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)

@@ -296,6 +296,37 @@ class TestPipes:
             assert proc.wait(timeout=10) == 0
 
 
+class _CountingStdout(io.StringIO):
+    def __init__(self, tty):
+        super().__init__()
+        self.tty, self.writes = tty, []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+    def isatty(self):
+        return self.tty
+
+
+class TestWrites:
+    # Under python -u every write is a system call, and a reader wakes on each.
+    @pytest.mark.parametrize("tty", [False, True], ids=["piped", "terminal"])
+    def test_one_write_per_reply_line(self, monkeypatch, tty):
+        out = _CountingStdout(tty)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["eval", "sym a b; a + b; a = a"]) == 0
+        header = cli.HEADER + "\n" if tty else ""
+        assert out.writes == [header + "+1a +1b\n", "true\n"]
+
+    def test_one_write_per_parsed_line(self, monkeypatch):
+        out = _CountingStdout(False)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("+1b +1a\n+1a\n"))
+        assert cli.main(["parse"]) == 0
+        assert out.writes == ["+1a +1b\n", "+1a\n"]
+
+
 class TestRepl:
     def test_piped_session(self):
         proc = run_cli("repl", stdin="sym p q r\np+q+r\n:quit\n")

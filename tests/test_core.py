@@ -257,6 +257,23 @@ class TestScalarAction:
             x * 0.5  # noqa: B018
 
 
+class TestForeignOperands:
+    # Each operator returns NotImplemented for a value it does not take, so Python
+    # tries the other operand's reflected method, and then raises or says unequal.
+    @pytest.mark.parametrize(
+        "apply",
+        [lambda e: e + 1, lambda e: e - 1, lambda e: 0.5 * e, lambda e: e * 0.5],
+        ids=["x + 1", "x - 1", "0.5 * x", "x * 0.5"],
+    )
+    def test_arithmetic_with_a_non_element_is_a_type_error(self, x, apply):
+        with pytest.raises(TypeError):
+            apply(x)
+
+    def test_values_of_different_classes_are_unequal(self, x):
+        assert (x == DEFAULT_CONTEXT) is False
+        assert (DEFAULT_CONTEXT == x) is False
+
+
 class TestMultiplication:
     def test_worked_product(self, x, x1, y):
         assert serialize(x * (x1 + y)) == PRODUCT_TEXT

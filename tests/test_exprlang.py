@@ -307,16 +307,16 @@ class TestParse:
         assert eval_one("sym a b c; a+b*c = a+(b*c)") is True
         assert eval_one("sym a b c; a+b*c = (a+b)*c") is False
 
-    def test_unary_minus_binds_tighter_than_star(self, monkeypatch):
-        # neg is linear, so the value cannot tell -(2*a) from (-2)*a; the calls can.
-        calls = []
-        scalar_mul, neg = exprlang.scalar_mul, exprlang.neg
-        monkeypatch.setattr(
-            exprlang, "scalar_mul", lambda c, e: calls.append(c) or scalar_mul(c, e)
-        )
-        monkeypatch.setattr(exprlang, "neg", lambda e: calls.append("neg") or neg(e))
+    def test_unary_minus_binds_tighter_than_star(self):
+        # neg is linear, so the value cannot tell -(2*a) from (-2)*a; the compiled chain
+        # can: (-2)*a is the literal -2 scaling a, at the column of the '*'.
+        def compiled(src):
+            pos, items = exprlang._Parser(tokenize(src), src).expr()
+            return pos, [(scale, column) for scale, column, _, _ in items]
+
+        assert compiled("-2*a") == (3, [(-2, 4)])
+        assert compiled("-(2*a)") == (1, [(-2, 5)])
         assert serialize(eval_one("sym a; -2*a")) == "-2a"
-        assert calls == [-2]
 
     def test_redundant_parens_normalize_away(self):
         assert eval_one("sym x; ((x*x))*x = x*x*x") is True
@@ -468,6 +468,14 @@ class TestChains:
             run_program(src, Env())
         assert (err.value.message, err.value.pos) == (NOT_ELEMENT, pos)
 
+    def test_a_zero_scaled_operand_still_runs(self):
+        env = Env(seed=11)
+        (result,) = run_program("0*raaa() + raaa()", env)
+        stream = SplitMix64(11)
+        stream.next_u64()
+        assert result == raaa(stream.next_u64())
+        assert env.next_seed() == stream.next_u64()
+
     def test_raaa_operands_take_their_seeds_left_to_right(self):
         (result,) = run_program("raaa() - raaa(3) + raaa() - raaa()", Env(seed=11))
         stream = SplitMix64(11)
@@ -616,6 +624,15 @@ class TestErrors:
              "expected a symbol name, found ')'", 25),
             ("single(" * 100 + "set_single(a, b)" + ")" * 100, ExprSyntaxError,
              "expression nested too deeply", 711),
+            # scalar factors, minuses and groups inside a chain
+            ("sym a; a + 2*(a + 3)", ScalarOperandError, NOT_ELEMENT, 19),
+            ("2*(3)", ScalarOperandError, LEFT_FACTOR, 4),
+            ("sym a; 2*3*a", ScalarOperandError, LEFT_FACTOR, 10),
+            ("sym a; a - -(2)*(3) + a", ScalarOperandError, LEFT_FACTOR, 18),
+            ("sym a; a - -(2*3)", ScalarOperandError, LEFT_FACTOR, 16),
+            ("sym a; raaa(-2*a)", EvalError, "raaa() seed must be an integer", 15),
+            ("sym a; raaa(-(2*a))", EvalError, "raaa() seed must be an integer", 13),
+            ("sym a b; extract(a, s1=(a b))", ExprSyntaxError, "expected ')', found 'b'", 27),
         ],
     )
     def test_error_table(self, src, cls, message, pos):
