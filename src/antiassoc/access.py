@@ -17,7 +17,7 @@ describe the same term.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import (
     AaaElement,
@@ -213,51 +213,25 @@ def replace_matrix(
     return _replace_keys(element, _matrix_keys(rows), as_coeff(value))
 
 
-def _terms(element: AaaElement, degree: int) -> list[tuple[TermKey, Coefficient]]:
-    """One degree's (key, coefficient) pairs in canonical order."""
-    return sorted(element._values()[degree - 1].items())
+def _column(name: str, degree: int, index: Optional[int], doc: str):
+    """A column view: of each degree-``degree`` term in canonical order, the symbol
+    at ``index`` in its key, or its coefficient when ``index`` is None."""
+
+    def view(element: AaaElement) -> list:
+        terms = sorted(element._values()[degree - 1].items())
+        return [c for _, c in terms] if index is None else [key[index] for key, _ in terms]
+
+    view.__name__ = view.__qualname__ = name
+    view.__doc__ = doc
+    return view
 
 
-def s1(element: AaaElement) -> list[str]:
-    """Degree-1 symbols, parallel to :func:`sc`."""
-    return [key[0] for key, _ in _terms(element, 1)]
-
-
-def sc(element: AaaElement) -> list[Coefficient]:
-    """Degree-1 coefficients, parallel to :func:`s1`."""
-    return [coeff for _, coeff in _terms(element, 1)]
-
-
-def d1(element: AaaElement) -> list[str]:
-    """First symbols of degree-2 terms."""
-    return [key[0] for key, _ in _terms(element, 2)]
-
-
-def d2(element: AaaElement) -> list[str]:
-    """Second symbols of degree-2 terms."""
-    return [key[1] for key, _ in _terms(element, 2)]
-
-
-def dc(element: AaaElement) -> list[Coefficient]:
-    """Degree-2 coefficients, parallel to :func:`d1` and :func:`d2`."""
-    return [coeff for _, coeff in _terms(element, 2)]
-
-
-def t1(element: AaaElement) -> list[str]:
-    """First symbols of degree-3 terms."""
-    return [key[0] for key, _ in _terms(element, 3)]
-
-
-def t2(element: AaaElement) -> list[str]:
-    """Second symbols of degree-3 terms."""
-    return [key[1] for key, _ in _terms(element, 3)]
-
-
-def t3(element: AaaElement) -> list[str]:
-    """Third symbols of degree-3 terms."""
-    return [key[2] for key, _ in _terms(element, 3)]
-
-
-def tc(element: AaaElement) -> list[Coefficient]:
-    """Degree-3 coefficients, parallel to the ``t`` columns."""
-    return [coeff for _, coeff in _terms(element, 3)]
+s1 = _column("s1", 1, 0, "Degree-1 symbols, parallel to :func:`sc`.")
+sc = _column("sc", 1, None, "Degree-1 coefficients, parallel to :func:`s1`.")
+d1 = _column("d1", 2, 0, "First symbols of degree-2 terms.")
+d2 = _column("d2", 2, 1, "Second symbols of degree-2 terms.")
+dc = _column("dc", 2, None, "Degree-2 coefficients, parallel to :func:`d1` and :func:`d2`.")
+t1 = _column("t1", 3, 0, "First symbols of degree-3 terms.")
+t2 = _column("t2", 3, 1, "Second symbols of degree-3 terms.")
+t3 = _column("t3", 3, 2, "Third symbols of degree-3 terms.")
+tc = _column("tc", 3, None, "Degree-3 coefficients, parallel to the ``t`` columns.")

@@ -175,30 +175,27 @@ def _lex(src: str, start: int, end: int) -> list[Token]:
 
 # ---------------------------------------------------------------------------
 # Compilation.  An expression compiles to a node whose first field, ``pos``, is
-# the column that errors about its value point at.  A name, a call or a product
-# is ``(pos, run)``, and ``run(env)`` gives an element.  Numbers come only from
-# literals, so they are known here: ``_Number((pos, value))``.  A '+'/'-' chain,
-# with each literal left factor of one factor, unary minus and group inside it
-# folded in, is ``_Chain((pos, items))``: its value is the sum of ``scale *
-# run(env)`` over its items ``(scale, column, run, message)``, and a value that
-# is not an element is a ScalarOperandError(message, column).  The two are bare
-# tuple types, as a NamedTuple costs start-up time.  Closures look up ``_sum``,
-# ``mul``, ``access`` etc. as module globals when they run.
+# the column that errors about its value point at.  Numbers come only from
+# literals, so they are known here: ``_Number((pos, value))``, a bare tuple type,
+# as a NamedTuple costs start-up time.  Any other expression is ``(pos, items)``:
+# its value is the sum of ``scale * run(env)`` over its items ``(scale, run)``.  A
+# name, a call or a product is one item ``(1, run)``; a '+'/'-' chain has one per
+# operand, with each literal left factor of one factor, unary minus and group
+# inside it folded in.  Every run gives an element: a number that stands where
+# an element must compiles to a run that raises that place's ScalarOperandError,
+# so the error comes in its turn.  Closures look up ``_sum``, ``mul``, ``access``
+# etc. as module globals when they run.
 
 class _Number(tuple):
     __slots__ = ()
 
 
-class _Chain(tuple):
-    __slots__ = ()
-
-
 class _Call(NamedTuple):
-    """A builtin call; the builtin evaluates its own arguments."""
+    """A builtin call; the builtin runs its own arguments."""
 
     name: str
     pos: int
-    args: tuple  # compiled positional arguments, (pos, run) each
+    args: tuple  # (pos, value run, element run) per positional argument
     kwargs: tuple  # (name, pos, value); value is a number or a tuple of symbol names
 
 
@@ -282,7 +279,7 @@ class _Parser:
         while self.tok.kind in ("+", "-"):
             op = self.advance()
             items += _items(self.term(), 1 if op.kind == "+" else -1)
-        return _Chain((op.pos, items))
+        return op.pos, items
 
     def term(self) -> tuple:
         first = self.unary()
@@ -293,10 +290,10 @@ class _Parser:
             op = self.advance()
             factor = self.unary()
             if type(first) is _Number:  # a literal left factor scales its one factor
-                first = _Chain((op.pos, _items(factor, first[1], _LEFT_FACTOR)))
+                first = op.pos, _items(factor, first[1], _LEFT_FACTOR)
             else:
-                rest.append((op.pos, *_plain(factor)))
-        return (op.pos, _product(_plain(first)[1], rest)) if rest else first
+                rest.append((op.pos, _element(factor, _LEFT_FACTOR)))
+        return (op.pos, [(1, _product(_element(first), rest))]) if rest else first
 
     def unary(self) -> tuple:
         # '-'* atom: a loop, then the atom in this frame, so nesting costs few frames.
@@ -313,16 +310,16 @@ class _Parser:
             self.advance()
             if self.tok.kind == "(":
                 call = _Call(tok.text, tok.pos, *self.nested(self.call_args))
-                node = tok.pos, lambda env: _call(call, env)
+                node = tok.pos, [(1, lambda env: _call(call, env))]
             else:
-                node = tok.pos, _variable(tok.text, tok.pos)
+                node = tok.pos, [(1, _variable(tok.text, tok.pos))]
         else:
             node = self.nested(self.expr)
         if minus is tok:
             return node
         if type(node) is _Number:
             return _Number((minus.pos, -node[1] if odd else node[1]))
-        return _Chain((minus.pos, _items(node, -1 if odd else 1)))
+        return minus.pos, _items(node, -1 if odd else 1)
 
     def nested(self, read: Callable):
         """Read '(', ``read()`` one level deeper and ')'; nothing else starts an atom.
@@ -347,7 +344,7 @@ class _Parser:
         return inner
 
     def call_args(self) -> tuple[tuple, tuple]:
-        args: list[tuple[int, Callable]] = []
+        args: list[tuple[int, Callable, Callable]] = []
         kwargs: list[tuple[str, int, object]] = []
         if self.tok.kind == ")":
             return tuple(args), tuple(kwargs)
@@ -361,7 +358,7 @@ class _Parser:
                     raise ExprSyntaxError(
                         "positional argument after keyword argument", self.tok.pos
                     )
-                args.append(_plain(self.expr()))
+                args.append(_argument(self.expr()))
             if self.tok.kind != ",":
                 return tuple(args), tuple(kwargs)
             self.advance()
@@ -391,20 +388,34 @@ class _Parser:
 _NOT_ELEMENT = "a bare number cannot be used as an element (the algebra has no unit)"
 _LEFT_FACTOR = "a number may only appear as the left factor of '*'"
 
-# The operator closures test each operand with isinstance inline, not through
-# _element: one more call per operand costs the REPL measurably.
 
-def _element(node: tuple) -> Callable:
-    """Compile an expression whose value must be an element."""
-    pos, value_of = _plain(node)
+def _items(node: tuple, scale, message: str = _NOT_ELEMENT) -> list:
+    """``scale`` times ``node`` as items; a number's run raises ``message``."""
+    if type(node) is _Number:
+        def misplaced(env):
+            raise ScalarOperandError(message, node[0])
 
-    def run(env):
-        value = value_of(env)
-        if not isinstance(value, AaaElement):
-            raise ScalarOperandError(_NOT_ELEMENT, pos)
-        return value
+        return [(scale, misplaced)]
+    items = node[1]
+    if scale == 1:
+        return items
+    # most scales are 1, and a Fraction times 1 costs about 0.7 us
+    return [(scale if s == 1 else scale * s, run) for s, run in items]
 
-    return run
+
+def _element(node: tuple, message: str = _NOT_ELEMENT) -> Callable:
+    """``run(env)`` giving the element ``node`` stands for; a number's raises."""
+    items = _items(node, 1, message)
+    if len(items) == 1 and items[0][0] == 1:
+        return items[0][1]
+    # operands run left to right, then ``core._sum`` merges them
+    return lambda env: _sum([(scale, run(env)) for scale, run in items])
+
+
+def _argument(node: tuple) -> tuple:
+    """A call argument: ``(pos, value run, element run)``."""
+    run = _element(node)
+    return node[0], (lambda env: node[1]) if type(node) is _Number else run, run
 
 
 def _variable(name: str, pos: int) -> Callable:
@@ -417,45 +428,14 @@ def _variable(name: str, pos: int) -> Callable:
     return run
 
 
-def _items(node: tuple, scale, message: str = _NOT_ELEMENT) -> list:
-    """``scale`` times ``node`` as chain items; a chain's items keep their messages."""
-    if type(node) is tuple:  # (pos, run), the common operand: no _plain call
-        return [(scale, *node, message)]
-    if type(node) is _Chain:
-        items = node[1]
-        return items if scale == 1 else [(scale * s, p, r, m) for s, p, r, m in items]
-    return [(scale, *_plain(node), message)]
-
-
-def _plain(node: tuple) -> tuple[int, Callable]:
-    """``(pos, run)`` for any node."""
-    if type(node) is _Number:
-        pos, value = node
-        return pos, lambda env: value
-    if type(node) is not _Chain:
-        return node
-    pos, items = node
-
-    def operands(env):  # run and checked left to right as ``core._sum`` merges them
-        for scale, column, value_of, message in items:
-            value = value_of(env)
-            if not isinstance(value, AaaElement):
-                raise ScalarOperandError(message, column)
-            yield scale, value
-
-    return pos, lambda env: _sum(operands(env))
-
-
-def _product(first: Callable, rest: list[tuple[int, int, Callable]]) -> Callable:
-    """Elements times elements; ``rest`` holds (column of '*', column of the factor,
-    run) per factor.  A literal left factor never gets here: it is a chain's scale."""
+def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
+    """Elements times elements; ``rest`` holds (column of '*', run) per factor.  A
+    literal left factor never gets here: it is a chain's scale."""
 
     def run(env):
         x = first(env)
-        for star, pos, value_of in rest:
+        for star, value_of in rest:
             y = value_of(env)
-            if not isinstance(y, AaaElement):
-                raise ScalarOperandError(_LEFT_FACTOR, pos)
             # mul pairs singles with singles, doubles with singles, singles with doubles
             n1 = len(x.singles)
             pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)
@@ -540,14 +520,14 @@ def _degree(count: int, name: str) -> tuple:
     """The row for ``access.<name>(element, *values)``, the element run first.  The
     function is looked up as the call runs, so a wrapper put on it later is seen."""
     def run(env, args, _):
-        return getattr(access, name)(_element(args[0])(env), *(a[1](env) for a in args[1:]))
+        return getattr(access, name)(args[0][2](env), *(a[1](env) for a in args[1:]))
 
     return (count,), f"takes {count} positional argument(s), got {{}}", {}, run
 
 
 def _replace(env: Env, args: tuple, selector) -> AaaElement:
     value = args[1][1](env)  # the value runs before the element it goes into
-    return access.replace(_element(args[0])(env), selector, value)
+    return access.replace(args[0][2](env), selector, value)
 
 
 def _raaa(env: Env, args: tuple, options: dict) -> AaaElement:
@@ -562,7 +542,7 @@ _BUILTINS = {
     **{name: _degree(1, name) for name in ("single", "double", "triple")},
     **{name: _degree(2, name) for name in ("set_single", "set_double", "set_triple")},
     "extract": ((1,), "takes 1 positional argument(s), got {}", _SELECTOR,
-                lambda env, args, selector: access.extract(_element(args[0])(env), selector)),
+                lambda env, args, selector: access.extract(args[0][2](env), selector)),
     "replace": ((2,), "takes 2 positional argument(s), got {}", _SELECTOR, _replace),
     "raaa": ((0, 1), "takes at most one positional argument (the seed)",
              {"alphabet": lambda name, value: None if isinstance(value, tuple)

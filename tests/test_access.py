@@ -211,6 +211,14 @@ class TestColumnViews:
         assert t3(element) == ["d", "d", "a"]
         assert tc(element) == [1, 1, 3]
 
+    def test_views_keep_their_names_and_docstrings(self):
+        views = (s1, sc, d1, d2, dc, t1, t2, t3, tc)
+        for name, view in zip(("s1", "sc", "d1", "d2", "dc", "t1", "t2", "t3", "tc"), views):
+            assert (view.__name__, view.__qualname__, view.__module__) == (
+                name, name, "antiassoc.access"
+            )
+            assert view.__doc__.strip()
+
     def test_zero_views_empty(self):
         for view in (s1, sc, d1, d2, dc, t1, t2, t3, tc):
             assert view(zero()) == []

@@ -1,16 +1,20 @@
-"""A differential oracle for the statement language's expressions.
+"""A differential oracle for the statement language.
 
-Hypothesis draws random expression trees over bound names: ``+``/``-``
-chains, runs of unary minus, literal left factors (0, negatives and
-fractions included, under minuses and groups), ``*``, nested groups,
-``raaa()`` leaves that take the session's seeds, and ``=``.  Each tree is
-rendered with random ``\\s`` whitespace and redundant parentheses, and
-``_Model`` works out what it must give straight from ``core`` (``add``,
-``sub``, ``neg``, ``scalar_mul``, ``mul``) and ``rng.raaa``, one operator
-at a time, in the order the language runs and checks operands.  Ill-typed
-trees are rendered too: a bare number in a chain or as a statement, a
-number as a right factor, ``2*(3)`` and an unbound name; their error's
-class, message and column come from the tree.
+Hypothesis draws random statements over bound names: expressions, ``=``
+and ``let``.  Their trees hold ``+``/``-`` chains, runs of unary minus,
+literal left factors (0, negatives and fractions included, under minuses
+and groups), ``*``, nested groups, ``raaa()`` leaves that take the
+session's seeds, and builtin calls: the degree parts and their ``set_``
+forms, ``extract`` and ``replace`` with selectors, and ``raaa`` with a
+literal seed.  Each tree is rendered with random ``\\s`` whitespace and
+redundant parentheses, and ``_Model`` works out what it must give straight
+from ``core`` (``add``, ``sub``, ``neg``, ``scalar_mul``, ``mul``),
+``access`` and ``rng.raaa``, one operator or call at a time, in the order
+the language runs and checks operands.  Ill-typed trees are rendered too:
+a bare number in a chain, as a statement, bound by ``let`` or as a
+builtin's element, a number as a right factor, ``2*(3)``, an unbound name,
+a seed that is not an integer and a replacement the library refuses;
+their error's class, message and column come from the tree.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from hypothesis import strategies as st
 
 from antiassoc import (
     AaaElement,
+    AlgebraError,
     Env,
+    EvalError,
     ExprError,
+    KeySelector,
     ScalarOperandError,
     UnboundVariableError,
     add,
@@ -37,6 +44,7 @@ from antiassoc import (
     sub,
     zero,
 )
+from antiassoc import access
 from antiassoc.core import as_coeff
 from antiassoc.exprlang import run_program
 from antiassoc.rng import SplitMix64
@@ -59,19 +67,31 @@ _NUMBER = st.builds(
 
 # ---------------------------------------------------------------------------
 # Trees: ("num", text, value), ("name", name), ("raaa",), ("neg", count, atom),
-# ("group", expr), ("prod", first, [factor, ...]), ("chain", first, [(op, term), ...]).
-# ``ill`` lets a number or an unbound name stand where an element must.  Every
-# draw is from a strategy built once: building strategies per node is slow.
+# ("group", expr), ("prod", first, [factor, ...]), ("chain", first, [(op, term), ...]),
+# ("call", name, [arg, ...], ((column, symbols), ...)).  ``ill`` lets a number or an
+# unbound name stand where an element must, any number be a seed and any number or
+# element be a replacement.  Every draw is from a strategy built once: building
+# strategies per node is slow.
 
 _ATOMS = {
-    (deep, ill): st.sampled_from(["name"] * 4 + ["raaa"] + ["group"] * deep + ["num", "unbound"] * ill)
+    (deep, ill): st.sampled_from(
+        ["name"] * 4 + ["raaa"] + ["group", "call"] * deep + ["num", "unbound"] * ill
+    )
     for deep in (False, True)
     for ill in (False, True)
 }
 _COUNT = {n: st.integers(0, n) for n in (1, 2, 3, 5)}
 _MINUSES = st.sampled_from([0, 0, 0, 1, 2, 3])
 _NAME = st.sampled_from("abc")
+_LET_NAME = st.sampled_from("abv")
 _OP = st.sampled_from("+-")
+_BUILTIN = st.sampled_from(["single", "double", "triple", "set_single", "set_double",
+                            "set_triple", "extract", "replace", "raaa"])
+_SEED = st.integers(0, 2**64 - 1)
+_ZERO = st.sampled_from([("0", 0), ("0/3", 0)])
+# Selector columns: a few keys per degree, over the symbols the bindings use most.
+_KEYS = {width: st.lists(st.tuples(*[st.sampled_from("abcd")] * width), max_size=3)
+         for width in (1, 2, 3)}
 
 
 class _Tree:
@@ -88,7 +108,44 @@ class _Tree:
             return ("raaa",)
         if kind == "num":
             return ("num", *self.draw(_NUMBER))
+        if kind == "call":
+            return self.call(depth - 1)
         return ("group", self.expr(depth - 1))
+
+    def call(self, depth: int):
+        """A builtin call whose arguments are expressions ``depth`` levels deep."""
+        name = self.draw(_BUILTIN)
+        if name == "raaa":
+            if self.ill and self.draw(st.booleans()):
+                seed = self.constant() if self.draw(st.booleans()) else self.expr(depth)
+            else:
+                seed = self.draw(_SEED)
+                seed = ("num", str(seed), seed)
+            return ("call", name, [seed], ())
+        element = self.expr(depth)
+        if name == "extract":
+            return ("call", name, [element], self.selector())
+        if name == "replace":
+            value = self.expr(depth) if self.ill and self.draw(st.booleans()) else self.constant()
+            return ("call", name, [element, value], self.selector())
+        if name.startswith("set_"):
+            kind = self.draw(_COUNT[2])
+            if kind == 0:
+                value = ("num", *self.draw(_ZERO))
+            elif kind == 1 or not self.ill:  # the part of the degree that is replaced
+                value = ("call", name[4:], [self.expr(depth)], ())
+            else:
+                value = self.constant() if self.draw(st.booleans()) else self.expr(depth)
+            return ("call", name, [element, value], ())
+        return ("call", name, [element], ())
+
+    def selector(self):
+        columns = []
+        for width, names in ((1, ["s1"]), (2, ["d1", "d2"]), (3, ["t1", "t2", "t3"])):
+            keys = self.draw(_KEYS[width])
+            if keys:
+                columns += zip(names, zip(*keys))
+        return tuple(columns)
 
     def unary(self, depth: int):
         count = self.draw(_MINUSES)
@@ -121,14 +178,20 @@ class _Tree:
 
 @st.composite
 def _program(draw):
-    """A list of statements: an (expression, expression) equality, a term, which
-    keeps a scaled first operand's terms to the result, or a whole expression."""
+    """A list of statements: an equality ``("=", expr, expr)``, a term, which keeps
+    a scaled first operand's terms to the result, a whole expression, or
+    ``("let", name, expr)`` and then the name it bound."""
     tree = _Tree(draw, draw(_COUNT[2]) == 0)
     statements = []
     for _ in range(1 + draw(_COUNT[2])):
-        kind = draw(_COUNT[2])
-        statements.append((tree.expr(2), tree.expr(2)) if kind == 0 else tree.term(2) if kind == 1
-                          else tree.expr(2))
+        kind = draw(_COUNT[3])
+        if kind == 0:
+            statements.append(("=", tree.expr(2), tree.expr(2)))
+        elif kind == 3:
+            name = draw(_LET_NAME)
+            statements += [("let", name, tree.expr(2)), ("name", name)]
+        else:
+            statements.append(tree.term(2) if kind == 1 else tree.expr(2))
     return statements
 
 
@@ -143,8 +206,8 @@ class _Render:
         self.parts: list = []
         self.col = 1
 
-    def token(self, text: str) -> int:
-        space = self.rng.choice(_SPACES)
+    def token(self, text: str, spaced: bool = False) -> int:
+        space = self.rng.choice(_SPACES[3:] if spaced else _SPACES)
         self.parts.append(space + text)
         col = self.col + len(space)
         self.col = col + len(text)
@@ -171,6 +234,8 @@ class _Render:
             inner = self.node(tree[1])
             self.token(")")
             return ("group", inner[1], inner)
+        if kind == "call":
+            return self.call(*tree[1:])
         first = self.node(tree[1])
         if kind == "prod":
             factors = []
@@ -184,25 +249,56 @@ class _Render:
             rest.append((op, self.node(term)))
         return ("chain", pos, first, rest)
 
-    def statement(self, tree):
-        if isinstance(tree, tuple) and tree and isinstance(tree[0], tuple):  # an equality
-            left = self.node(tree[0])
+    def call(self, name: str, args: list, selector: tuple):
+        pos = self.token(name)
+        self.token("(")
+        nodes = []
+        for i, arg in enumerate(args):
+            if i:
+                self.token(",")
+            nodes.append(self.node(arg))
+        for column, symbols in selector:
+            self.token(",")
+            self.token(column)
             self.token("=")
-            return ("=", left, self.node(tree[1]))
+            if len(symbols) == 1 and self.rng.random() < 0.5:
+                self.token(symbols[0])
+                continue
+            self.token("(")  # a symbol list, lexed as one token
+            for i, symbol in enumerate(symbols):
+                if i:
+                    self.token(",")
+                self.token(symbol)
+            self.token(")")
+        self.token(")")
+        return ("call", pos, name, nodes, dict(selector))
+
+    def statement(self, tree):
+        if tree[0] == "=":
+            left = self.node(tree[1])
+            self.token("=")
+            return ("=", left, self.node(tree[2]))
+        if tree[0] == "let":
+            self.token("let")
+            self.token(tree[1], spaced=True)
+            self.token("=")
+            return ("let", tree[1], self.node(tree[2]))
         return self.node(tree)
+
+    def program(self, trees: list) -> tuple:
+        """(source, the rendered statements, with their columns)."""
+        statements = []
+        for i, tree in enumerate(trees):
+            if i:
+                self.token(";")
+            statements.append(self.statement(tree))
+        self.token("")
+        return "".join(self.parts), statements
 
 
 @st.composite
 def _rendered(draw):
-    """(source, the rendered statements, with their columns)."""
-    render = _Render(draw(st.randoms(use_true_random=False)))
-    statements = []
-    for i, tree in enumerate(draw(_program())):
-        if i:
-            render.token(";")
-        statements.append(render.statement(tree))
-    render.token("")
-    return "".join(render.parts), statements
+    return _Render(draw(st.randoms(use_true_random=False))).program(draw(_program()))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +312,7 @@ class _Expected(Exception):
 
 class _Model:
     def __init__(self, bindings: dict, seed: int):
-        self.bindings = bindings
+        self.bindings = dict(bindings)
         self.stream = SplitMix64(seed)
         self.context = Env().context
 
@@ -237,6 +333,8 @@ class _Model:
             return neg(v) if isinstance(v, AaaElement) else -v
         if kind == "group":
             return self.value(node[2])
+        if kind == "call":
+            return self.call(*node[1:])
         if kind == "prod":
             x = self.value(node[2])
             for factor in node[3]:
@@ -257,41 +355,123 @@ class _Model:
             raise _Expected(ScalarOperandError, NOT_ELEMENT, node[1])
         return v
 
+    def call(self, pos: int, name: str, args: list, selector: dict):
+        """A builtin's value from ``access`` or ``rng.raaa``; its arguments run left
+        to right, but a replacement value runs before the element it goes into."""
+        if name == "raaa":
+            seed = self.value(args[0])
+            if not isinstance(seed, int):
+                raise _Expected(EvalError, "raaa() seed must be an integer", args[0][1])
+            return self.library(pos, raaa, seed)
+        if name == "replace":
+            value = self.value(args[1])
+            return self.library(pos, access.replace, self.element(args[0]),
+                                KeySelector(**selector), value)
+        element = self.element(args[0])
+        if name == "extract":
+            return self.library(pos, access.extract, element, KeySelector(**selector))
+        return self.library(pos, getattr(access, name), element, *map(self.value, args[1:]))
+
+    @staticmethod
+    def library(pos: int, function, *args):
+        """``function(*args)``; an error it raises is the call's EvalError."""
+        try:
+            return function(*args)
+        except (AlgebraError, TypeError, ValueError) as exc:
+            raise _Expected(EvalError, str(exc), pos) from None
+
     def statement(self, node):
         if node[0] == "=":
             return self.element(node[1]) == self.element(node[2])
+        if node[0] == "let":
+            self.bindings[node[1]] = self.element(node[2])
+            return None
         return self.element(node)
 
 
 _BINDINGS = st.fixed_dictionaries({"a": mixed_elements, "b": mixed_elements, "c": mixed_elements})
 
 
+def _check(rendered, bindings: dict, seed: int) -> None:
+    """Run the rendered program and the model side by side: the same values, or
+    the same error, and the same seeds drawn."""
+    src, statements = rendered
+    model = _Model(bindings, seed)
+    try:
+        expected = [model.statement(s) for s in statements]
+    except _Expected as exc:
+        expected = exc.error
+    env = Env(seed=seed)
+    env.bindings.update(bindings)
+    try:
+        results = run_program(src, env)
+    except ExprError as exc:
+        assert (type(exc), exc.message, exc.pos) == expected, src
+    else:
+        assert isinstance(expected, list), (src, expected)
+        for result, want in zip(results, expected, strict=True):
+            if want is None or isinstance(want, bool):
+                assert result is want, src
+            else:
+                assert serialize(result) == serialize(want), src
+                _assert_clean(result)
+    # every raaa() that ran took the session's next seed, in order
+    assert env.next_seed() == model.stream.next_u64(), src
+
+
+def _num(text: str):
+    return ("num", text, as_coeff(Fraction(text)))
+
+
+def _call(name: str, *args, **selector):
+    return ("call", name, list(args), tuple(selector.items()))
+
+
+_A, _B, _C = ("name", "a"), ("name", "b"), ("name", "c")
+
+
 class TestExpressionsAgainstCore:
     @settings(max_examples=250, deadline=None)
     @given(_rendered(), _BINDINGS, st.integers(0, 2**64 - 1))
     def test_value_or_error_matches_the_core_calls(self, rendered, bindings, seed):
-        src, statements = rendered
-        model = _Model(bindings, seed)
-        try:
-            expected = [model.statement(s) for s in statements]
-        except _Expected as exc:
-            expected = exc.error
-        env = Env(seed=seed)
-        env.bindings.update(bindings)
-        try:
-            results = run_program(src, env)
-        except ExprError as exc:
-            assert (type(exc), exc.message, exc.pos) == expected, src
-        else:
-            assert isinstance(expected, list), (src, expected)
-            for result, want in zip(results, expected, strict=True):
-                if isinstance(want, bool):
-                    assert result is want, src
-                else:
-                    assert serialize(result) == serialize(want), src
-                    _assert_clean(result)
-        # every raaa() that ran took the session's next seed, in order
-        assert env.next_seed() == model.stream.next_u64(), src
+        _check(rendered, bindings, seed)
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            pytest.param([_call("single", _num("2"))], id="single(2)"),
+            pytest.param([_call("extract", ("neg", 1, _num("3/2")), s1=("a",))],
+                         id="extract(-3/2, s1=a)"),
+            pytest.param([_call("set_double",
+                                ("chain", ("prod", _num("2"), [_A]), [("-", _B)]),
+                                _call("double", _C))],
+                         id="set_double(2*a - b, double(c))"),
+            pytest.param([_call(f"set_{part}", _A, _num("0"))
+                          for part in ("single", "double", "triple")], id="set_*(a, 0)"),
+            pytest.param([_call("replace", _A, _num("3/2"), s1=("a", "b"), d1=("a", "c"),
+                                d2=("b", "d"))], id="replace(a, 3/2, s1=(a, b), ...)"),
+            pytest.param([_call("raaa", _num("7")), _call("raaa", ("neg", 1, _num("7")))],
+                         id="raaa(7)"),
+            pytest.param([("let", "v", ("chain", ("prod", _num("2"), [_A]), [("-", _B)])),
+                          ("name", "v")], id="let v = 2*a - b; v"),
+            pytest.param([("let", "v", ("neg", 1, _num("2"))), ("name", "v")], id="let v = -2; v"),
+            # arguments the library or the seed check refuses, at the call's column
+            pytest.param([_call("raaa", _num("1/2"))], id="raaa(1/2)"),
+            pytest.param([_call("raaa", ("prod", _num("2"), [_A]))], id="raaa(2*a)"),
+            pytest.param([_call("set_single", _A, _num("5"))], id="set_single(a, 5)"),
+            pytest.param([_call("set_single", _A, _call("double", _B))],
+                         id="set_single(a, double(b))"),
+            pytest.param([_call("replace", ("raaa",), ("raaa",), s1=("a",))],
+                         id="replace(raaa(), raaa(), s1=a)"),
+            # the replacement value runs first: its seed is drawn before the number fails
+            pytest.param([_call("replace", _num("2"), ("raaa",), s1=("a",))],
+                         id="replace(2, raaa(), s1=a)"),
+        ],
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(_BINDINGS, st.integers(0, 2**64 - 1), st.randoms(use_true_random=False))
+    def test_builtins_and_let(self, program, bindings, seed, rng):
+        _check(_Render(rng).program(program), bindings, seed)
 
 
 class TestScaledOperandsAreClean:

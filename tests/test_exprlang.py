@@ -308,15 +308,13 @@ class TestParse:
         assert eval_one("sym a b c; a+b*c = (a+b)*c") is False
 
     def test_unary_minus_binds_tighter_than_star(self):
-        # neg is linear, so the value cannot tell -(2*a) from (-2)*a; the compiled chain
-        # can: (-2)*a is the literal -2 scaling a, at the column of the '*'.
-        def compiled(src):
-            pos, items = exprlang._Parser(tokenize(src), src).expr()
-            return pos, [(scale, column) for scale, column, _, _ in items]
-
-        assert compiled("-2*a") == (3, [(-2, 4)])
-        assert compiled("-(2*a)") == (1, [(-2, 5)])
+        # neg is linear, so the value cannot tell -(2*a) from (-2)*a; the column of
+        # an error about it can: (-2)*a is the literal -2 scaling a, at the '*'.
         assert serialize(eval_one("sym a; -2*a")) == "-2a"
+        for src, pos in [("sym a; raaa(-2*a)", 15), ("sym a; raaa(-(2*a))", 13)]:
+            with pytest.raises(EvalError) as err:
+                run_program(src, Env())
+            assert (err.value.message, err.value.pos) == ("raaa() seed must be an integer", pos)
 
     def test_redundant_parens_normalize_away(self):
         assert eval_one("sym x; ((x*x))*x = x*x*x") is True
@@ -706,6 +704,11 @@ class TestPartialRun:
             ("raaa(); raaa(); foo(raaa())", EvalError, 2),
             ("raaa(); )", ExprSyntaxError, 0),
             ("raaa() + 2; raaa()", ScalarOperandError, 1),
+            # a misplaced number fails in its turn, after the operands before it ran
+            ("raaa()*2; raaa()", ScalarOperandError, 1),
+            ("raaa() - 2*(raaa() + 3); raaa()", ScalarOperandError, 2),
+            ("set_single(raaa(), single(2)); raaa()", ScalarOperandError, 1),
+            ("sym a; extract(raaa(), s1=a) + 3; raaa()", ScalarOperandError, 1),
             ("nope + raaa()", UnboundVariableError, 0),
         ],
     )
