@@ -24,7 +24,9 @@ when a match fails does a diagnosis walk the failing term to raise the
 error at its column.  Duplicate keys accumulate and zero-coefficient terms
 are dropped, so parsing is total on the grammar, up to the interpreter's
 limit on the digits of one number, and ``parse(serialize(e)) == e`` for
-every element that serializes.
+every element that serializes.  Each coefficient text of at most 20
+characters is converted once per process and kept, up to 4,096 of them:
+the values are immutable, and no digit limit (never below 640) can refuse them.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def serialize(element: AaaElement) -> str:
 
 _S = SYMBOL_RE.pattern
 _TERM_RE = re.compile(
-    rf"([+-])([0-9]+)(?:/([0-9]+))?(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*"
+    rf"([+-][0-9]+(?:/[0-9]+)?)(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*"
 )
 # The same grammar with every piece allowed to match empty, compiled at the first error: it always
 # matches, and the first required piece left empty (groups 1-3, then key's 5-10) is the error.
@@ -78,6 +80,7 @@ _DIAGNOSIS = (
 )
 _KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}
 _WS_RE = re.compile(r"\s*")
+_COEFFS: dict[str, Coefficient] = {}  # coefficient text -> value, shared by all calls to parse
 
 
 def parse(text: str) -> AaaElement:
@@ -101,12 +104,17 @@ def parse(text: str) -> AaaElement:
         m = _TERM_RE.match(text, i)
         if m is None:
             _diagnose(text, last)
-        sign, num, den, t1, t2, t3, s1, s2 = m.groups()
-        try:
-            n, d = int(sign + num), int(den or 1)
-            coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int
-        except (ValueError, ZeroDivisionError):  # over the digit limit, or "/0"
-            _diagnose(text, i)
+        c, t1, t2, t3, s1, s2 = m.groups()
+        coeff = _COEFFS.get(c)
+        if coeff is None:
+            try:
+                num, _, den = c.partition("/")
+                n, d = int(num), int(den or 1)
+                coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int
+            except (ValueError, ZeroDivisionError):  # over the digit limit, or "/0"
+                _diagnose(text, i)
+            if len(c) <= 20 and len(_COEFFS) < 4096:  # 20 chars: far below any digit limit
+                _COEFFS[c] = coeff
         pairs.append(((t1, t2, t3) if t1 else (s1, s2) if s2 else (s1,), coeff))
         last, i = i, m.end()
     return _build(pairs)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiassoc import AaaElement, ParseError, make_element, parse, scalar_mul, serialize, zero
+from antiassoc import textio
 from antiassoc.core import SYMBOL_RE, _build
 from antiassoc.rng import raaa
 from conftest import CANONICAL_FIXTURES, PRODUCT_TEXT, X_PLUS_X1_TEXT
@@ -274,3 +275,54 @@ class TestAgainstReference:
             return
         assert isinstance(element, AaaElement)
         assert parse(serialize(element)) == element
+
+
+class TestCoefficientMemo:
+    """``parse`` remembers short coefficient texts across calls; nothing observable changes."""
+
+    def test_a_failed_conversion_is_not_remembered(self):
+        def fails_at_the_zero():
+            with pytest.raises(ParseError) as err:
+                parse("+1/0a")
+            assert (err.value.column, err.value.message) == (4, "zero denominator")
+
+        fails_at_the_zero()
+        fails_at_the_zero()
+        assert serialize(parse("+1/2a")) == "+1/2a"
+        fails_at_the_zero()
+
+    def test_the_digit_limit_holds_after_a_hit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no int-string digit limit")
+        text = f"+{'7' * 700}a"
+        try:
+            sys.set_int_max_str_digits(1000)
+            assert serialize(parse(text)) == text
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.column, err.value.message) == (2, "number longer than 640 digits")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_hits_keep_the_exact_types(self):
+        for _ in range(2):
+            (c,) = parse("+4/2a").singles.values()
+            assert type(c) is int and c == 2
+            (c,) = parse("+3/6a").singles.values()
+            assert type(c) is Fraction and c == Fraction(1, 2)
+
+    def test_past_the_cap(self):
+        lines = [
+            " ".join(
+                f"{'+-'[k % 2]}{k}/{k % 9 + 1}{'abc'[k % 3]}.{'xyz'[k % 7 % 3]}"
+                for k in range(100 * row + 1, 100 * row + 101)
+            )
+            for row in range(100)
+        ]
+        assert len({t.split("/")[0] for line in lines for t in line.split()}) == 10_000
+        for _ in range(2):
+            for line in lines:
+                assert _outcome(parse, line) == _outcome(_reference_parse, line)
+        assert len(textio._COEFFS) <= 4096
