@@ -355,7 +355,7 @@ def _ints(m: dict) -> None:
 
 def _sum(terms: Iterable[tuple[Coefficient, AaaElement]]) -> AaaElement:
     """The sum of ``scale * element`` over the ``(scale, element)`` pairs of ``terms``,
-    of which there is at least one.
+    of which there is at least one: the one routine that scales or adds elements.
 
     The first element's maps are copied once (at C speed when its scale is 1,
     by one comprehension each when not), and every later term is merged into
@@ -410,13 +410,7 @@ def sub(a: AaaElement, b: AaaElement) -> AaaElement:
 
 def scalar_mul(c: object, a: AaaElement) -> AaaElement:
     """Multiply every coefficient by the exact scalar ``c``."""
-    c = as_coeff(c)
-    if not c:
-        return zero()
-    maps = [{k: c * v for k, v in m.items()} for m in a._values()]
-    for m in maps:
-        _ints(m)
-    return AaaElement._trusted(*maps)
+    return _sum(((as_coeff(c), a),))
 
 
 def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:

@@ -190,15 +190,6 @@ class _Number(tuple):
     __slots__ = ()
 
 
-class _Call(NamedTuple):
-    """A builtin call; the builtin runs its own arguments."""
-
-    name: str
-    pos: int
-    args: tuple  # (pos, value run, element run) per positional argument
-    kwargs: tuple  # (name, pos, value); value is a number or a tuple of symbol names
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], src: str):
         self.src = src
@@ -309,8 +300,8 @@ class _Parser:
         elif tok.kind == "name":
             self.advance()
             if self.tok.kind == "(":
-                call = _Call(tok.text, tok.pos, *self.nested(self.call_args))
-                node = tok.pos, [(1, lambda env: _call(call, env))]
+                args, kwargs = self.nested(self.call_args)
+                node = tok.pos, [(1, lambda env: _call(tok, args, kwargs, env))]
             else:
                 node = tok.pos, [(1, _variable(tok.text, tok.pos))]
         else:
@@ -551,23 +542,26 @@ _BUILTINS = {
 }
 
 
-def _call(call: _Call, env: Env) -> AaaElement:
-    """Check a builtin call in the order the module docstring gives, then run it.
-    Every error is a run-time error, and a refused call runs none of its arguments."""
-    row = _BUILTINS.get(call.name)
+def _call(tok: Token, args: tuple, kwargs: tuple, env: Env) -> AaaElement:
+    """Check a call of builtin ``tok`` in the order the module docstring gives, then
+    run it.  ``args`` has ``(pos, value run, element run)`` per positional argument,
+    ``kwargs`` ``(name, pos, value)`` per keyword, its value a number or a tuple of
+    symbol names.  The builtin runs its own arguments; every error is a run-time
+    error, and a refused call runs none of its arguments."""
+    row = _BUILTINS.get(tok.text)
     if row is None:
-        raise EvalError(f"unknown function '{call.name}'", call.pos)
+        raise EvalError(f"unknown function '{tok.text}'", tok.pos)
     counts, takes, keywords, run = row
-    if len(call.args) not in counts:
-        raise EvalError(f"{call.name}() {takes.format(len(call.args))}", call.pos)
+    if len(args) not in counts:
+        raise EvalError(f"{tok.text}() {takes.format(len(args))}", tok.pos)
     options: dict = {}
-    for name, pos, value in call.kwargs:
+    for name, pos, value in kwargs:
         if name not in keywords:
             if keywords:
-                raise EvalError(f"{call.name}() has no keyword argument '{name}'", call.pos)
-            raise EvalError(f"{call.name}() takes no keyword arguments ('{name}')", call.pos)
+                raise EvalError(f"{tok.text}() has no keyword argument '{name}'", tok.pos)
+            raise EvalError(f"{tok.text}() takes no keyword arguments ('{name}')", tok.pos)
         if name in options:
-            raise EvalError(f"duplicate keyword argument '{name}'", call.pos)
+            raise EvalError(f"duplicate keyword argument '{name}'", tok.pos)
         problem = keywords[name](name, value)
         if problem is not None:
             raise EvalError(problem, pos)
@@ -575,11 +569,11 @@ def _call(call: _Call, env: Env) -> AaaElement:
     try:
         if keywords is _SELECTOR:
             options = access.KeySelector._trusted(**options)  # names the lexer matched
-        return run(env, call.args, options)
+        return run(env, args, options)
     except ExprError:
         raise
     except (AlgebraError, TypeError, ValueError) as exc:
-        raise EvalError(str(exc), call.pos) from exc
+        raise EvalError(str(exc), tok.pos) from exc
 
 
 def run_program(src: str, env: Env) -> list:

@@ -256,6 +256,27 @@ class TestScalarAction:
         with pytest.raises(TypeError):
             x * 0.5  # noqa: B018
 
+    def test_rational_text_scalar_is_the_fraction(self, x):
+        assert scalar_mul("3/2", x) == scalar_mul(Fraction(3, 2), x)
+
+    def test_bool_scalar_rejected(self, x):
+        with pytest.raises(TypeError):
+            scalar_mul(True, x)
+
+    def test_minus_one_is_neg(self, x1):
+        assert scalar_mul(-1, x1) == neg(x1)
+
+    def test_one_copies_the_maps(self, x):
+        y = scalar_mul(1, x)
+        assert y == x
+        assert all(m is not n for m, n in zip(y._values(), x._values()))
+
+    def test_zero_scalar_still_needs_an_element(self):
+        with pytest.raises(Exception) as by_neg:
+            neg(None)
+        with pytest.raises(type(by_neg.value)):
+            scalar_mul(0, None)
+
 
 class TestForeignOperands:
     # Each operator returns NotImplemented for a value it does not take, so Python

@@ -552,6 +552,35 @@ class TestBuiltins:
         assert err.value.pos == 12
 
 
+class TestCompiledOnce:
+    # parse_program's statements may run more than once: each compiled call
+    # keeps its own builtin name, column and arguments.
+    LINE = "sym a b; extract(2*a - b, s1=(a, b), d1=(a), d2=(b)); single(a); raaa(); raaa(7, n1=2)"
+
+    def test_two_runs_give_the_same_results_and_seed(self):
+        stmts = parse_program(self.LINE)
+        runs = []
+        for _ in range(2):
+            env = Env(seed=5)
+            runs.append(([run(env) for run in stmts], env.next_seed()))
+        assert runs[0] == runs[1]
+        results = runs[0][0]
+        assert [serialize(e) for e in results[1:3]] == ["+2a -1b", "+1a"]
+        assert results[3] == eval_one("raaa()", Env(seed=5))
+        assert results[4] == eval_one("raaa(7, n1=2)")
+
+    def test_a_refused_call_fails_alike_and_draws_no_seed(self):
+        (stmt,) = parse_program("extract(raaa(), q9=a)")
+        errors = []
+        for _ in range(2):
+            env = Env(seed=5)
+            with pytest.raises(EvalError) as err:
+                stmt(env)
+            errors.append((err.value.message, err.value.pos))
+            assert env.next_seed() == Env(seed=5).next_seed()
+        assert errors[0] == errors[1] == ("extract() has no keyword argument 'q9'", 1)
+
+
 NOT_ELEMENT = "a bare number cannot be used as an element (the algebra has no unit)"
 LEFT_FACTOR = "a number may only appear as the left factor of '*'"
 
