@@ -365,11 +365,15 @@ def _sum(terms: Iterable[tuple[Coefficient, AaaElement]]) -> AaaElement:
     maps = None
     for scale, e in terms:
         if maps is None:
+            # each case is tested once, as a Fraction's == and bool are Python calls
             if scale == 1:
                 maps = dict(e.singles), dict(e.doubles), dict(e.triples)
-                continue
-            maps = [{k: scale * c for k, c in m.items()} if scale else {} for m in e._values()]
-            if scale != -1:
+            elif scale == -1:
+                maps = [{k: -c for k, c in m.items()} for m in e._values()]
+            elif not scale:
+                maps = [{} for _ in e._values()]  # still refuses a non-element, as neg does
+            else:
+                maps = [{k: scale * c for k, c in m.items()} for m in e._values()]
                 for m in maps:
                     _ints(m)
             continue

@@ -27,8 +27,9 @@ names follow :data:`core.SYMBOL_RE`.  A symbol list, ``'('`` and one or more
 names that are not keywords, separated by ``','``, and ``')'``, is one token
 whose value is its names, so its names are checked once, by that match.  A
 keyword argument takes the names as they are; a call or a group such as
-``single(a, b)`` or ``(a, b)`` reads the list's own tokens again.  Numbers
-are exact rational literals (``2``, ``3/2``).  They are not elements: the
+``single(a, b)`` or ``(a, b)`` reads the list's own tokens again.  The parser
+reads an expression in one loop over the tokens, recursing only at a '('.
+Numbers are exact rational literals (``2``, ``3/2``), not elements: the
 algebra has no unit, so ``2*a`` is scalar action while ``2 + a`` or ``a*2``
 is an error.
 
@@ -175,204 +176,208 @@ def _lex(src: str, start: int, end: int) -> list[Token]:
 
 # ---------------------------------------------------------------------------
 # Compilation.  An expression compiles to a node whose first field, ``pos``, is
-# the column that errors about its value point at.  Numbers come only from
-# literals, so they are known here: ``_Number((pos, value))``, a bare tuple type,
-# as a NamedTuple costs start-up time.  Any other expression is ``(pos, items)``:
-# its value is the sum of ``scale * run(env)`` over its items ``(scale, run)``.  A
-# name, a call or a product is one item ``(1, run)``; a '+'/'-' chain has one per
-# operand, with each literal left factor of one factor, unary minus and group
-# inside it folded in.  Every run gives an element: a number that stands where
-# an element must compiles to a run that raises that place's ScalarOperandError,
-# so the error comes in its turn.  Closures look up ``_sum``, ``mul``, ``access``
-# etc. as module globals when they run.
+# the column that errors about its value point at.  A number is known here, as
+# numbers come only from literals: ``_Number((pos, value))``, a bare tuple type
+# (a NamedTuple costs start-up time).  Any other expression is ``(pos, items)``,
+# whose value is the sum of ``scale * run(env)`` over its items ``(scale, run)``:
+# one for a name, a call or a product, and one per operand for a '+'/'-' chain,
+# with each unary minus, literal left factor of one factor and group folded in.
+# The parser reads an expression in one loop over the token list, by index,
+# recursing only at a '(', and an operand that is a name or a call goes straight
+# into its chain's items.  A number that stands where an element must compiles
+# to a run that raises that place's ScalarOperandError, so the error comes in
+# its turn.  Closures look up ``_sum``, ``mul``, ``access`` etc. as module
+# globals when they run.
 
 class _Number(tuple):
     __slots__ = ()
 
 
+def _expected(what: str, tok: Token) -> ExprSyntaxError:
+    found = "end of input" if tok[0] == "end" else repr(tok[1])
+    return ExprSyntaxError(f"expected {what}, found {found}", tok[2])
+
+
 class _Parser:
+    """Reads ``tokens`` by index: each method but :meth:`parse_program` reads from
+    ``tokens[i]`` and returns what it read and the index after it.  No index passes
+    'end'."""
+
     def __init__(self, tokens: list[Token], src: str):
         self.src = src
         self.tokens = tokens
-        self.i = 0
-        self.tok = tokens[0]
         self.depth = 0  # '(' levels open around the current token
 
-    def advance(self) -> Token:
-        """Return the current token ``tok`` and move on; 'end' is never passed."""
-        tok = self.tok
-        if tok.kind != "end":
-            self.i += 1
-            self.tok = self.tokens[self.i]
-        return tok
-
-    def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.tok
-        if tok.kind != kind:
-            wanted = what or f"'{kind}'"
-            found = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ExprSyntaxError(f"expected {wanted}, found {found}", tok.pos)
-        return self.advance()
-
     def parse_program(self) -> list[Callable]:
-        stmts: list[Callable] = []
+        tokens, stmts, i = self.tokens, [], 0
         while True:
-            while self.tok.kind == ";":
-                self.advance()
-            if self.tok.kind == "end":
+            while tokens[i][0] == ";":
+                i += 1
+            if tokens[i][0] == "end":
                 return stmts
-            stmts.append(self.statement())
-            tok = self.tok
-            if tok.kind == ";":
-                self.advance()
-            elif tok.kind != "end":
-                raise ExprSyntaxError(
-                    f"expected ';' or end of statement, found {tok.text!r}", tok.pos
-                )
+            run, i = self.statement(i)
+            stmts.append(run)
+            kind, text, pos, _ = tokens[i]
+            if kind != ";" and kind != "end":
+                raise ExprSyntaxError(f"expected ';' or end of statement, found {text!r}", pos)
 
-    def statement(self) -> Callable:
-        tok = self.tok
-        if tok.kind == "sym":
-            self.advance()
+    def statement(self, i: int) -> tuple:
+        tokens = self.tokens
+        kind = tokens[i][0]
+        if kind == "sym":
             names = []
-            while self.tok.kind == "name":
-                names.append(self.advance().text)
+            i += 1
+            while tokens[i][0] == "name":
+                names.append(tokens[i][1])
+                i += 1
             if not names:
-                raise ExprSyntaxError(
-                    "expected at least one symbol name after 'sym'", self.tok.pos
-                )
-            return lambda env: env.bindings.update({n: from_symbols([n]) for n in names})
-        if tok.kind == "let":
-            self.advance()
-            name = self.expect("name", "a name to bind").text
-            self.expect("=")
-            value_of = _element(self.expr())
+                message = "expected at least one symbol name after 'sym'"
+                raise ExprSyntaxError(message, tokens[i][2])
+            return (lambda env: env.bindings.update({n: from_symbols([n]) for n in names})), i
+        if kind == "let":
+            tok = tokens[i + 1]
+            if tok[0] != "name":
+                raise _expected("a name to bind", tok)
+            if tokens[i + 2][0] != "=":
+                raise _expected("'='", tokens[i + 2])
+            node, i = self.expr(i + 3)
+            value_of, name = _element(node), tok[1]
 
             def let(env):
                 env.bindings[name] = value_of(env)
 
-            return let
-        left = _element(self.expr())
-        if self.tok.kind == "=":
-            self.advance()
-            right = _element(self.expr())
-            return lambda env: left(env) == right(env)
-        return left
+            return let, i
+        node, i = self.expr(i)
+        left = _element(node)
+        if tokens[i][0] == "=":
+            node, i = self.expr(i + 1)
+            right = _element(node)
+            return (lambda env: left(env) == right(env)), i
+        return left, i
 
-    # A chain of '+'/'-' or of '*' compiles to one closure, so its length is
-    # not limited by recursion; its column is that of its last operator.
-
-    def expr(self) -> tuple:
-        node = self.term()
-        if self.tok.kind not in ("+", "-"):
-            return node
-        items = [*_items(node, 1)]
-        while self.tok.kind in ("+", "-"):
-            op = self.advance()
-            items += _items(self.term(), 1 if op.kind == "+" else -1)
-        return op.pos, items
-
-    def term(self) -> tuple:
-        first = self.unary()
-        if self.tok.kind != "*":
-            return first
-        rest = []
-        while self.tok.kind == "*":
-            op = self.advance()
-            factor = self.unary()
-            if type(first) is _Number:  # a literal left factor scales its one factor
-                first = op.pos, _items(factor, first[1], _LEFT_FACTOR)
-            else:
-                rest.append((op.pos, _element(factor, _LEFT_FACTOR)))
-        return (op.pos, [(1, _product(_element(first), rest))]) if rest else first
-
-    def unary(self) -> tuple:
-        # '-'* atom: a loop, then the atom in this frame, so nesting costs few frames.
-        minus = self.tok
-        odd = False
-        while self.tok.kind == "-":
-            self.advance()
-            odd = not odd
-        tok = self.tok
-        if tok.kind == "number":
-            self.advance()
-            node = _Number((tok.pos, tok.value))
-        elif tok.kind == "name":
-            self.advance()
-            if self.tok.kind == "(":
-                args, kwargs = self.nested(self.call_args)
-                node = tok.pos, [(1, lambda env: _call(tok, args, kwargs, env))]
-            else:
-                node = tok.pos, [(1, _variable(tok.text, tok.pos))]
-        else:
-            node = self.nested(self.expr)
-        if minus is tok:
-            return node
-        if type(node) is _Number:
-            return _Number((minus.pos, -node[1] if odd else node[1]))
-        return minus.pos, _items(node, -1 if odd else 1)
-
-    def nested(self, read: Callable):
-        """Read '(', ``read()`` one level deeper and ')'; nothing else starts an atom.
-
-        A symbol list is read from its own tokens, so a call or a group reads,
-        and fails, as if its names had been lexed one by one.
-        """
-        tok = self.expect("(", "an expression")
-        if tok.value is not None:
-            outer, i, close = self.tokens, self.i, self.src.index(")", tok.pos)
-            self.tokens = [tok._replace(value=None), *_lex(self.src, tok.pos, close + 1)]
-            self.i, self.tok = 0, self.tokens[0]
-            inner = self.nested(read)
-            self.tokens, self.i, self.tok = outer, i, outer[i]
-            return inner
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError("expression nested too deeply", tok.pos)
-        self.depth += 1
-        inner = read()
-        self.expect(")")
-        self.depth -= 1
-        return inner
-
-    def call_args(self) -> tuple[tuple, tuple]:
-        args: list[tuple[int, Callable, Callable]] = []
-        kwargs: list[tuple[str, int, object]] = []
-        if self.tok.kind == ")":
-            return tuple(args), tuple(kwargs)
+    def expr(self, i: int) -> tuple:
+        """``term (('+'|'-') term)*``, a term ``unary ('*' unary)*`` and a unary
+        ``'-'* atom``.  A chain of '+'/'-' or of '*' compiles to one closure, so its
+        length is not limited by recursion; its column is that of its last operator."""
+        tokens = self.tokens
+        items: list = []  # the chain's items
+        sign, op = 1, None  # the sign of the term being read; the last '+'/'-' column
         while True:
-            if self.tok.kind == "name" and self.tokens[self.i + 1].kind == "=":
-                name = self.advance().text
-                self.advance()
-                kwargs.append((name, *self.kwvalue()))
+            first, rest = None, []  # a term's first factor, and (star, run) per one after
+            while True:
+                kind, text, pos, value = tokens[i]
+                start, odd = pos, False
+                while kind == "-":
+                    odd = not odd
+                    i += 1
+                    kind, text, pos, value = tokens[i]
+                if kind == "name":
+                    i += 1
+                    if tokens[i][0] == "(":
+                        tok = tokens[i - 1]
+                        args, i = self.nested(i, self.call_args)
+                        run = _call(tok, *args)
+                    else:
+                        def run(env, name=text, col=pos):  # defaults: this name, not the last
+                            try:
+                                return env.bindings[name]
+                            except KeyError:
+                                message = f"unbound variable '{name}'"
+                                raise UnboundVariableError(message, col) from None
+                    if tokens[i][0] != "*" and (first is None or type(first) is _Number):
+                        # the whole term, or a literal factor's one factor: one item
+                        col, scale = (start, sign) if first is None else (
+                            star, first[1] if sign == 1 else -first[1])
+                        items.append((-scale if odd else scale, run))
+                        break
+                    node = pos, [(1, run)]
+                elif kind == "number":
+                    i += 1
+                    node = _Number((pos, value))
+                else:
+                    node, i = self.nested(i, self.expr)
+                if start != pos:  # minuses before the atom
+                    node = (_Number((start, -node[1] if odd else node[1])) if type(node) is _Number
+                            else (start, _items(node, -1 if odd else 1)))
+                if first is None:
+                    first = node
+                elif type(first) is _Number:  # a literal left factor scales its one factor
+                    first = star, _items(node, first[1], _LEFT_FACTOR)
+                else:
+                    rest.append((star, _element(node, _LEFT_FACTOR)))
+                if tokens[i][0] != "*":
+                    node = (star, [(1, _product(_element(first), rest))]) if rest else first
+                    if op is None and tokens[i][0] not in ("+", "-"):
+                        return node, i
+                    items += _items(node, sign)
+                    break
+                star = tokens[i][2]
+                i += 1
+            kind, _, pos, _ = tokens[i]
+            if kind == "+" or kind == "-":
+                sign, op = 1 if kind == "+" else -1, pos
+                i += 1
+            else:
+                return ((col, items) if op is None else (op, items)), i
+
+    def nested(self, i: int, read: Callable) -> tuple:
+        """Read '(', ``read`` one level deeper and ')'; nothing else starts an atom.  A
+        symbol list is read from its own tokens, so a call or a group reads, and
+        fails, as if its names had been lexed one by one."""
+        tok = self.tokens[i]
+        if tok[0] != "(":
+            raise _expected("an expression", tok)
+        if tok[3] is not None:
+            outer, close = self.tokens, self.src.index(")", tok[2])
+            self.tokens = [tok._replace(value=None), *_lex(self.src, tok[2], close + 1)]
+            inner = self.nested(0, read)[0]
+            self.tokens = outer
+            return inner, i + 1
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", tok[2])
+        self.depth += 1
+        inner, i = read(i + 1)
+        if self.tokens[i][0] != ")":
+            raise _expected("')'", self.tokens[i])
+        self.depth -= 1
+        return inner, i + 1
+
+    def call_args(self, i: int) -> tuple:
+        tokens, args, kwargs = self.tokens, [], []
+        if tokens[i][0] == ")":
+            return ((), ()), i
+        while True:
+            kind, text, pos, _ = tokens[i]
+            if kind == "name" and tokens[i + 1][0] == "=":
+                kwargs.append((text, *self.kwvalue(i + 2)))
+                i += 3
             else:
                 if kwargs:
-                    raise ExprSyntaxError(
-                        "positional argument after keyword argument", self.tok.pos
-                    )
-                args.append(_argument(self.expr()))
-            if self.tok.kind != ",":
-                return tuple(args), tuple(kwargs)
-            self.advance()
+                    raise ExprSyntaxError("positional argument after keyword argument", pos)
+                node, i = self.expr(i)
+                args.append(_argument(node))
+            if tokens[i][0] != ",":
+                return (tuple(args), tuple(kwargs)), i
+            i += 1
 
-    def kwvalue(self) -> tuple[int, object]:
-        tok = self.tok
-        if tok.kind == "number":
-            self.advance()
-            return tok.pos, tok.value
-        if tok.kind == "name":
-            self.advance()
-            return tok.pos, (tok.text,)
-        if tok.kind == "(":
-            self.advance()
-            if tok.value is not None:  # a symbol list
-                return tok.pos, tok.value
-            self.expect("name", "a symbol name")  # the lexer matched no list: find the error
-            while self.tok.kind == ",":
-                self.advance()
-                self.expect("name", "a symbol name")
-            self.expect(")")
+    def kwvalue(self, i: int) -> tuple[int, object]:
+        """A keyword's ``(pos, value)``, from its one token."""
+        tokens = self.tokens
+        kind, text, pos, value = tokens[i]
+        if kind == "number" or kind == "(" and value is not None:  # a symbol list
+            return pos, value
+        if kind == "name":
+            return pos, (text,)
+        if kind == "(":  # the lexer matched no symbol list: find the error
+            i += 1
+            while tokens[i][0] == "name" and tokens[i + 1][0] == ",":
+                i += 2
+            if tokens[i][0] != "name":
+                raise _expected("a symbol name", tokens[i])
+            if tokens[i + 1][0] != ")":
+                raise _expected("')'", tokens[i + 1])
         raise ExprSyntaxError(
-            "expected a number, a symbol name or a parenthesized symbol list", tok.pos
+            "expected a number, a symbol name or a parenthesized symbol list", pos
         )
 
 
@@ -407,16 +412,6 @@ def _argument(node: tuple) -> tuple:
     """A call argument: ``(pos, value run, element run)``."""
     run = _element(node)
     return node[0], (lambda env: node[1]) if type(node) is _Number else run, run
-
-
-def _variable(name: str, pos: int) -> Callable:
-    def run(env):
-        try:
-            return env.bindings[name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable '{name}'", pos) from None
-
-    return run
 
 
 def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
@@ -542,38 +537,42 @@ _BUILTINS = {
 }
 
 
-def _call(tok: Token, args: tuple, kwargs: tuple, env: Env) -> AaaElement:
-    """Check a call of builtin ``tok`` in the order the module docstring gives, then
-    run it.  ``args`` has ``(pos, value run, element run)`` per positional argument,
-    ``kwargs`` ``(name, pos, value)`` per keyword, its value a number or a tuple of
-    symbol names.  The builtin runs its own arguments; every error is a run-time
-    error, and a refused call runs none of its arguments."""
-    row = _BUILTINS.get(tok.text)
-    if row is None:
-        raise EvalError(f"unknown function '{tok.text}'", tok.pos)
-    counts, takes, keywords, run = row
-    if len(args) not in counts:
-        raise EvalError(f"{tok.text}() {takes.format(len(args))}", tok.pos)
-    options: dict = {}
-    for name, pos, value in kwargs:
-        if name not in keywords:
-            if keywords:
-                raise EvalError(f"{tok.text}() has no keyword argument '{name}'", tok.pos)
-            raise EvalError(f"{tok.text}() takes no keyword arguments ('{name}')", tok.pos)
-        if name in options:
-            raise EvalError(f"duplicate keyword argument '{name}'", tok.pos)
-        problem = keywords[name](name, value)
-        if problem is not None:
-            raise EvalError(problem, pos)
-        options[name] = value
-    try:
-        if keywords is _SELECTOR:
-            options = access.KeySelector._trusted(**options)  # names the lexer matched
-        return run(env, args, options)
-    except ExprError:
-        raise
-    except (AlgebraError, TypeError, ValueError) as exc:
-        raise EvalError(str(exc), tok.pos) from exc
+def _call(tok: Token, args: tuple, kwargs: tuple) -> Callable:
+    """``run(env)`` for a call of builtin ``tok``: it checks the call in the order the
+    module docstring gives, then runs it.  ``args`` has ``(pos, value run, element
+    run)`` per positional argument, ``kwargs`` ``(name, pos, value)`` per keyword, its
+    value a number or a tuple of symbol names.  The builtin runs its own arguments;
+    every error is a run-time error, and a refused call runs none of its arguments."""
+
+    def run(env: Env) -> AaaElement:
+        row = _BUILTINS.get(tok.text)
+        if row is None:
+            raise EvalError(f"unknown function '{tok.text}'", tok.pos)
+        counts, takes, keywords, builtin = row
+        if len(args) not in counts:
+            raise EvalError(f"{tok.text}() {takes.format(len(args))}", tok.pos)
+        options: dict = {}
+        for name, pos, value in kwargs:
+            if name not in keywords:
+                if keywords:
+                    raise EvalError(f"{tok.text}() has no keyword argument '{name}'", tok.pos)
+                raise EvalError(f"{tok.text}() takes no keyword arguments ('{name}')", tok.pos)
+            if name in options:
+                raise EvalError(f"duplicate keyword argument '{name}'", tok.pos)
+            problem = keywords[name](name, value)
+            if problem is not None:
+                raise EvalError(problem, pos)
+            options[name] = value
+        try:
+            if keywords is _SELECTOR:
+                options = access.KeySelector._trusted(**options)  # names the lexer matched
+            return builtin(env, args, options)
+        except ExprError:
+            raise
+        except (AlgebraError, TypeError, ValueError) as exc:
+            raise EvalError(str(exc), tok.pos) from exc
+
+    return run
 
 
 def run_program(src: str, env: Env) -> list:

@@ -53,3 +53,20 @@ def test_a_traced_line_counts_each_builtin_call(monkeypatch):
     metrics = tracing.layer_metrics(tracer.layers())
     assert metrics["access.calls"] == 8
     assert metrics["rng.raaa.calls"] == 1
+
+
+def test_a_traced_long_line_counts_its_tokens_and_statements(monkeypatch):
+    # parse_program must call tokenize through the module global, or the tracer misses it.
+    monkeypatch.setattr(sys, "path", [BENCH, *sys.path])
+    import run
+    import tracing
+
+    modules = run.import_program()
+    exprlang = modules["exprlang"]
+    src = "sym a b c; let v = " + " + ".join(["a", "2*b", "-(c - 3/2*a)", "a*b"] * 20) + "; v"
+    tracer = tracing.Tracer(modules)
+    with tracer.installed():
+        exprlang.run_program(src, exprlang.Env())
+    metrics = tracing.layer_metrics(tracer.layers())
+    assert metrics["exprlang.tokenize.tokens"] == len(exprlang.tokenize(src))
+    assert metrics["exprlang.parse_program.statements"] == 3

@@ -1,20 +1,23 @@
 """A differential oracle for the statement language.
 
-Hypothesis draws random statements over bound names: expressions, ``=``
-and ``let``.  Their trees hold ``+``/``-`` chains, runs of unary minus,
-literal left factors (0, negatives and fractions included, under minuses
-and groups), ``*``, nested groups, ``raaa()`` leaves that take the
-session's seeds, and builtin calls: the degree parts and their ``set_``
-forms, ``extract`` and ``replace`` with selectors, and ``raaa`` with a
-literal seed.  Each tree is rendered with random ``\\s`` whitespace and
-redundant parentheses, and ``_Model`` works out what it must give straight
-from ``core`` (``add``, ``sub``, ``neg``, ``scalar_mul``, ``mul``),
-``access`` and ``rng.raaa``, one operator or call at a time, in the order
-the language runs and checks operands.  Ill-typed trees are rendered too:
-a bare number in a chain, as a statement, bound by ``let`` or as a
-builtin's element, a number as a right factor, ``2*(3)``, an unbound name,
-a seed that is not an integer and a replacement the library refuses;
-their error's class, message and column come from the tree.
+Hypothesis draws random statements over bound names: expressions, ``=``,
+``let`` and ``sym``, which may re-bind a name ``let`` bound.  Their trees
+hold ``+``/``-`` chains, runs of unary minus, literal left factors (0,
+negatives and fractions included, under minuses and groups), ``*``, nested
+groups, ``raaa()`` leaves that take the session's seeds, and builtin calls:
+the degree parts and their ``set_`` forms, ``extract`` and ``replace`` with
+selectors, and ``raaa`` with a literal seed or none and its keyword
+arguments (``alphabet``, ``n1``, ``n2``, ``n3``).  Each tree is rendered
+with random ``\\s`` whitespace and redundant parentheses, and ``_Model``
+works out what it must give straight from ``core`` (``add``, ``sub``,
+``neg``, ``scalar_mul``, ``mul``), ``access`` and ``rng.raaa``, one
+operator or call at a time, in the order the language runs and checks
+operands.  Ill-typed trees are rendered too: a bare number in a chain, as a
+statement, bound by ``let`` or as a builtin's element, a number as a right
+factor, ``2*(3)``, an unbound name, a seed that is not an integer, a
+replacement the library refuses, and a ``raaa`` keyword given twice or
+given a value it refuses (``n1=3/2``, ``n2=100001``, ``alphabet=2``); their
+error's class, message and column come from the tree.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from antiassoc import (
     ScalarOperandError,
     UnboundVariableError,
     add,
+    from_symbols,
     mul,
     neg,
     parse,
@@ -46,7 +50,7 @@ from antiassoc import (
 )
 from antiassoc import access
 from antiassoc.core import as_coeff
-from antiassoc.exprlang import run_program
+from antiassoc.exprlang import MAX_RAAA_TERMS, run_program
 from antiassoc.rng import SplitMix64
 from test_laws import _assert_clean, mixed_elements
 
@@ -68,10 +72,10 @@ _NUMBER = st.builds(
 # ---------------------------------------------------------------------------
 # Trees: ("num", text, value), ("name", name), ("raaa",), ("neg", count, atom),
 # ("group", expr), ("prod", first, [factor, ...]), ("chain", first, [(op, term), ...]),
-# ("call", name, [arg, ...], ((column, symbols), ...)).  ``ill`` lets a number or an
-# unbound name stand where an element must, any number be a seed and any number or
-# element be a replacement.  Every draw is from a strategy built once: building
-# strategies per node is slow.
+# ("call", name, [arg, ...], ((keyword, value), ...)), a keyword's value a tuple of
+# symbols or a number's text.  ``ill`` lets a number or an unbound name stand where
+# an element must, any number be a seed and any number or element be a replacement.
+# Every draw is from a strategy built once: building strategies per node is slow.
 
 _ATOMS = {
     (deep, ill): st.sampled_from(
@@ -80,18 +84,26 @@ _ATOMS = {
     for deep in (False, True)
     for ill in (False, True)
 }
-_COUNT = {n: st.integers(0, n) for n in (1, 2, 3, 5)}
+_COUNT = {n: st.integers(0, n) for n in (1, 2, 3, 4, 5)}
 _MINUSES = st.sampled_from([0, 0, 0, 1, 2, 3])
 _NAME = st.sampled_from("abc")
 _LET_NAME = st.sampled_from("abv")
+_SYM_NAMES = st.lists(_LET_NAME, min_size=1, max_size=3)
 _OP = st.sampled_from("+-")
 _BUILTIN = st.sampled_from(["single", "double", "triple", "set_single", "set_double",
-                            "set_triple", "extract", "replace", "raaa"])
+                            "set_triple", "extract", "replace", "raaa", "raaa"])
 _SEED = st.integers(0, 2**64 - 1)
 _ZERO = st.sampled_from([("0", 0), ("0/3", 0)])
 # Selector columns: a few keys per degree, over the symbols the bindings use most.
 _KEYS = {width: st.lists(st.tuples(*[st.sampled_from("abcd")] * width), max_size=3)
          for width in (1, 2, 3)}
+# raaa's keywords: an alphabet, term counts (small, to keep elements small) and the
+# values it refuses.
+_RAAA_KEYWORD = st.sampled_from(["alphabet", "n1", "n2", "n3"])
+_ALPHABET = st.lists(st.sampled_from("abxy"), min_size=1, max_size=3).map(tuple)
+_TERM_COUNT = st.sampled_from(["0", "1", "2", "3", "4/2"])
+_REFUSED = {"alphabet": st.just("2"), **dict.fromkeys(("n1", "n2", "n3"),
+                                                    st.sampled_from(["3/2", "100001"]))}
 
 
 class _Tree:
@@ -117,11 +129,13 @@ class _Tree:
         name = self.draw(_BUILTIN)
         if name == "raaa":
             if self.ill and self.draw(st.booleans()):
-                seed = self.constant() if self.draw(st.booleans()) else self.expr(depth)
+                seeds = [self.constant() if self.draw(st.booleans()) else self.expr(depth)]
+            elif self.draw(_COUNT[3]) == 0:
+                seeds = []  # the session's next seed
             else:
                 seed = self.draw(_SEED)
-                seed = ("num", str(seed), seed)
-            return ("call", name, [seed], ())
+                seeds = [("num", str(seed), seed)]
+            return ("call", name, seeds, self.raaa_keywords())
         element = self.expr(depth)
         if name == "extract":
             return ("call", name, [element], self.selector())
@@ -138,6 +152,21 @@ class _Tree:
                 value = self.constant() if self.draw(st.booleans()) else self.expr(depth)
             return ("call", name, [element, value], ())
         return ("call", name, [element], ())
+
+    def raaa_keywords(self):
+        """``raaa``'s keywords in any order; an ill tree may repeat one or give it a
+        value it refuses."""
+        keywords: list = []
+        for _ in range(self.draw(_COUNT[3])):
+            key = self.draw(_RAAA_KEYWORD)
+            if not self.ill and any(key == k for k, _ in keywords):
+                continue
+            if self.ill and self.draw(st.booleans()):
+                value = self.draw(_REFUSED[key])
+            else:
+                value = self.draw(_ALPHABET if key == "alphabet" else _TERM_COUNT)
+            keywords.append((key, value))
+        return tuple(keywords)
 
     def selector(self):
         columns = []
@@ -179,17 +208,21 @@ class _Tree:
 @st.composite
 def _program(draw):
     """A list of statements: an equality ``("=", expr, expr)``, a term, which keeps
-    a scaled first operand's terms to the result, a whole expression, or
-    ``("let", name, expr)`` and then the name it bound."""
+    a scaled first operand's terms to the result, a whole expression,
+    ``("let", name, expr)`` and then the name it bound, or ``("sym", names)`` and
+    then its last name."""
     tree = _Tree(draw, draw(_COUNT[2]) == 0)
     statements = []
     for _ in range(1 + draw(_COUNT[2])):
-        kind = draw(_COUNT[3])
+        kind = draw(_COUNT[4])
         if kind == 0:
             statements.append(("=", tree.expr(2), tree.expr(2)))
         elif kind == 3:
             name = draw(_LET_NAME)
             statements += [("let", name, tree.expr(2)), ("name", name)]
+        elif kind == 4:
+            names = draw(_SYM_NAMES)
+            statements += [("sym", names), ("name", names[-1])]
         else:
             statements.append(tree.term(2) if kind == 1 else tree.expr(2))
     return statements
@@ -249,7 +282,8 @@ class _Render:
             rest.append((op, self.node(term)))
         return ("chain", pos, first, rest)
 
-    def call(self, name: str, args: list, selector: tuple):
+    def call(self, name: str, args: list, keywords: tuple):
+        """The call's node; its keywords become ``(keyword, column, value)``."""
         pos = self.token(name)
         self.token("(")
         nodes = []
@@ -257,21 +291,26 @@ class _Render:
             if i:
                 self.token(",")
             nodes.append(self.node(arg))
-        for column, symbols in selector:
-            self.token(",")
-            self.token(column)
+        rendered = []
+        for key, value in keywords:
+            if nodes or rendered:
+                self.token(",")
+            self.token(key)
             self.token("=")
-            if len(symbols) == 1 and self.rng.random() < 0.5:
-                self.token(symbols[0])
+            if isinstance(value, str):  # a number
+                rendered.append((key, self.token(value), as_coeff(Fraction(value))))
                 continue
-            self.token("(")  # a symbol list, lexed as one token
-            for i, symbol in enumerate(symbols):
+            if len(value) == 1 and self.rng.random() < 0.5:
+                rendered.append((key, self.token(value[0]), value))
+                continue
+            rendered.append((key, self.token("("), value))  # a symbol list, one token
+            for i, symbol in enumerate(value):
                 if i:
                     self.token(",")
                 self.token(symbol)
             self.token(")")
         self.token(")")
-        return ("call", pos, name, nodes, dict(selector))
+        return ("call", pos, name, nodes, rendered)
 
     def statement(self, tree):
         if tree[0] == "=":
@@ -283,6 +322,11 @@ class _Render:
             self.token(tree[1], spaced=True)
             self.token("=")
             return ("let", tree[1], self.node(tree[2]))
+        if tree[0] == "sym":
+            self.token("sym")
+            for name in tree[1]:
+                self.token(name, spaced=True)
+            return tree
         return self.node(tree)
 
     def program(self, trees: list) -> tuple:
@@ -355,14 +399,17 @@ class _Model:
             raise _Expected(ScalarOperandError, NOT_ELEMENT, node[1])
         return v
 
-    def call(self, pos: int, name: str, args: list, selector: dict):
-        """A builtin's value from ``access`` or ``rng.raaa``; its arguments run left
-        to right, but a replacement value runs before the element it goes into."""
+    def call(self, pos: int, name: str, args: list, keywords: list):
+        """A builtin's value from ``access`` or ``rng.raaa``; its keywords are checked
+        in turn before any argument runs, its arguments run left to right, but a
+        replacement value runs before the element it goes into."""
         if name == "raaa":
-            seed = self.value(args[0])
+            options = self.raaa_options(pos, keywords)
+            seed = self.value(args[0]) if args else self.stream.next_u64()
             if not isinstance(seed, int):
                 raise _Expected(EvalError, "raaa() seed must be an integer", args[0][1])
-            return self.library(pos, raaa, seed)
+            return self.library(pos, lambda s: raaa(s, **options), seed)
+        selector = {key: value for key, _, value in keywords}
         if name == "replace":
             value = self.value(args[1])
             return self.library(pos, access.replace, self.element(args[0]),
@@ -371,6 +418,22 @@ class _Model:
         if name == "extract":
             return self.library(pos, access.extract, element, KeySelector(**selector))
         return self.library(pos, getattr(access, name), element, *map(self.value, args[1:]))
+
+    @staticmethod
+    def raaa_options(pos: int, keywords: list) -> dict:
+        options: dict = {}
+        for key, col, value in keywords:
+            if key in options:
+                raise _Expected(EvalError, f"duplicate keyword argument '{key}'", pos)
+            if key == "alphabet":
+                if not isinstance(value, tuple):
+                    raise _Expected(EvalError, "'alphabet' takes symbol names", col)
+            elif not isinstance(value, int):
+                raise _Expected(EvalError, f"'{key}' must be an integer >= 0", col)
+            elif value > MAX_RAAA_TERMS:
+                raise _Expected(EvalError, f"'{key}' must be at most {MAX_RAAA_TERMS}", col)
+            options[key] = value
+        return options
 
     @staticmethod
     def library(pos: int, function, *args):
@@ -385,6 +448,9 @@ class _Model:
             return self.element(node[1]) == self.element(node[2])
         if node[0] == "let":
             self.bindings[node[1]] = self.element(node[2])
+            return None
+        if node[0] == "sym":
+            self.bindings.update((name, from_symbols([name])) for name in node[1])
             return None
         return self.element(node)
 
@@ -455,6 +521,22 @@ class TestExpressionsAgainstCore:
             pytest.param([("let", "v", ("chain", ("prod", _num("2"), [_A]), [("-", _B)])),
                           ("name", "v")], id="let v = 2*a - b; v"),
             pytest.param([("let", "v", ("neg", 1, _num("2"))), ("name", "v")], id="let v = -2; v"),
+            pytest.param([("let", "v", _A), ("sym", ["v", "b", "v"]),
+                          ("prod", ("name", "v"), [_B])], id="let v = a; sym v b v; v*b"),
+            pytest.param([_call("raaa", _num("7"), alphabet=("a", "x"), n1="2", n2="4/2",
+                                n3="1")], id="raaa(7, alphabet=(a, x), n1=2, ...)"),
+            pytest.param([_call("raaa", n3="1", alphabet=("b",)), ("raaa",)],
+                         id="raaa(n3=1, alphabet=b); raaa()"),
+            # keywords raaa refuses: checked in turn, before the seed runs or is drawn
+            pytest.param([_call("raaa", _num("1"), n1="3/2")], id="raaa(1, n1=3/2)"),
+            pytest.param([_call("raaa", n1="1", n2="100001")], id="raaa(n1=1, n2=100001)"),
+            pytest.param([_call("raaa", ("raaa",), alphabet="2")], id="raaa(raaa(), alphabet=2)"),
+            pytest.param([("call", "raaa", [], (("n1", "1"), ("n2", "3/2"), ("n1", "2")))],
+                         id="raaa(n1=1, n2=3/2, n1=2)"),
+            pytest.param([("call", "raaa", [("name", "nope")], (("n1", "1"), ("n1", "1")))],
+                         id="raaa(nope, n1=1, n1=1)"),
+            pytest.param([("call", "raaa", [], (("alphabet", ("a",)), ("alphabet", "2")))],
+                         id="raaa(alphabet=a, alphabet=2)"),
             # arguments the library or the seed check refuses, at the call's column
             pytest.param([_call("raaa", _num("1/2"))], id="raaa(1/2)"),
             pytest.param([_call("raaa", ("prod", _num("2"), [_A]))], id="raaa(2*a)"),

@@ -480,6 +480,17 @@ class TestChains:
         s1, s2, s3 = stream.next_u64(), stream.next_u64(), stream.next_u64()
         assert result == sub(add(sub(raaa(s1), raaa(3)), raaa(s2)), raaa(s3))
 
+    @pytest.mark.parametrize(
+        "src, expected", [("3/2*(-2/3*a)", "-1a"), ("-3/2*(-2/3*a)", "+1a"), ("0*(3/2*a)", "0")]
+    )
+    def test_folded_factors_that_multiply_to_an_integer_give_int_coefficients(
+        self, src, expected
+    ):
+        # the folded scale is the Fraction -1, 1 or 0; the result must not keep a Fraction
+        (result,) = run_program(src, env_with(a=parse("+1a")))
+        assert serialize(result) == expected
+        _assert_clean(result)
+
 
 class TestBuiltins:
     def test_degree_split(self):
