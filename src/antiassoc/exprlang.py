@@ -21,14 +21,16 @@ tighter than ``*``::
     arg     := NAME '=' kwvalue | expr
     kwvalue := NUMBER | NAME | '(' NAME (',' NAME)* ')'
 
-The lexer is one ``findall`` pass of one compiled pattern.  Whitespace
-is any character for which ``str.isspace()`` holds (``\\s`` in ``re``), and
-names follow :data:`core.SYMBOL_RE`.  A symbol list, ``'('`` and one or more
-names that are not keywords, separated by ``','``, and ``')'``, is one token
-whose value is its names, so its names are checked once, by that match.  A
+The lexer is one ``findall`` pass of one compiled pattern, and a token is a
+plain ``(kind, text, column, value)`` tuple.  Whitespace is any character
+for which ``str.isspace()`` holds (``\\s`` in ``re``), and names follow
+:data:`core.SYMBOL_RE`.  A symbol list, ``'('`` and one or more names that
+are not keywords, separated by ``','``, and ``')'``, is one token whose
+value is its names, so its names are checked once, by that match.  A
 keyword argument takes the names as they are; a call or a group such as
-``single(a, b)`` or ``(a, b)`` reads the list's own tokens again.  The parser
-reads an expression in one loop over the tokens, recursing only at a '('.
+``single(a, b)`` or ``(a, b)`` reads the list's own tokens again.  The
+parser reads an expression in one loop over the tokens, recursing only at
+a '('.
 Numbers are exact rational literals (``2``, ``3/2``), not elements: the
 algebra has no unit, so ``2*a`` is scalar action while ``2 + a`` or ``a*2``
 is an error.
@@ -52,7 +54,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import access
 from .core import (
@@ -94,7 +96,7 @@ class LexError(ExprError):
 
 
 class ExprSyntaxError(ExprError):
-    """Token stream does not match the grammar."""
+    """The token stream does not match the grammar."""
 
 
 class EvalError(ExprError):
@@ -110,14 +112,9 @@ class ScalarOperandError(EvalError):
 
 
 # ---------------------------------------------------------------------------
-# Tokens
-
-class Token(NamedTuple):
-    kind: str  # 'name', 'number', 'sym', 'let', one of '+-*()=,;', or 'end'
-    text: str
-    pos: int
-    value: object = None  # a number's value, or the names of a symbol list
-
+# Tokens.  A token is the plain tuple ``(kind, text, pos, value)``: ``kind`` is
+# 'name', 'number', 'sym', 'let', one of '+-*()=,;', or 'end'; ``pos`` is a
+# 1-based column; ``value`` is a number's value, a symbol list's names, or None.
 
 _KEYWORDS = frozenset({"sym", "let"})
 _LISTED = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z_0-9])){SYMBOL_RE.pattern}"
@@ -131,7 +128,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(src: str) -> list[Token]:
+def tokenize(src: str) -> list[tuple]:
     """Split source into tokens with 1-based positions; ends with 'end'.
 
     One ``findall`` pass matches every token, and the columns are a running
@@ -141,21 +138,21 @@ def tokenize(src: str) -> list[Token]:
     return _lex(src, 0, len(src))
 
 
-def _lex(src: str, start: int, end: int) -> list[Token]:
+def _lex(src: str, start: int, end: int) -> list[tuple]:
     """The tokens of ``src[start:end]`` and 'end', at the columns of ``src``."""
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__  # new() skips NamedTuple's __new__
+    tokens: list[tuple] = []
+    append = tokens.append
     pos = start + 1
     for space, names, punct, name, number, other in _TOKEN_RE.findall(src, start, end):
         pos += len(space)
         if punct:
-            append(new(Token, (punct, punct, pos, None)))
+            append((punct, punct, pos, None))
             pos += 1
         elif name:
-            append(new(Token, (name if name in _KEYWORDS else "name", name, pos, None)))
+            append((name if name in _KEYWORDS else "name", name, pos, None))
             pos += len(name)
         elif names:
-            append(new(Token, ("(", "(", pos, tuple(names[1:-1].replace(",", " ").split()))))
+            append(("(", "(", pos, tuple(names[1:-1].replace(",", " ").split())))
             pos += len(names)
         elif number:
             num, slash, den = number.partition("/")
@@ -166,34 +163,35 @@ def _lex(src: str, start: int, end: int) -> list[Token]:
             except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
                 limit = sys.get_int_max_str_digits()
                 raise LexError(f"number longer than {limit} digits", pos) from None
-            append(new(Token, ("number", number, pos, value)))
+            append(("number", number, pos, value))
             pos += len(number)
         else:
             raise LexError(f"illegal character {other!r}", pos)
-    append(new(Token, ("end", "", end + 1, None)))
+    append(("end", "", end + 1, None))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Compilation.  An expression compiles to a node whose first field, ``pos``, is
 # the column that errors about its value point at.  A number is known here, as
-# numbers come only from literals: ``_Number((pos, value))``, a bare tuple type
-# (a NamedTuple costs start-up time).  Any other expression is ``(pos, items)``,
-# whose value is the sum of ``scale * run(env)`` over its items ``(scale, run)``:
-# one for a name, a call or a product, and one per operand for a '+'/'-' chain,
-# with each unary minus, literal left factor of one factor and group folded in.
-# The parser reads an expression in one loop over the token list, by index,
-# recursing only at a '(', and an operand that is a name or a call goes straight
-# into its chain's items.  A number that stands where an element must compiles
-# to a run that raises that place's ScalarOperandError, so the error comes in
-# its turn.  Closures look up ``_sum``, ``mul``, ``access`` etc. as module
-# globals when they run.
+# numbers come only from literals: ``_Number((pos, value))``, a bare tuple subclass
+# that ``type(node) is _Number`` tells apart (a typing record costs start-up time).
+# Any other expression is ``(pos, items)``, whose value is the sum of
+# ``scale * run(env)`` over its items ``(scale, run)``: one for a name, a call or
+# a product, and one per operand for a '+'/'-' chain, with each unary minus,
+# literal left factor of one factor and group folded in.  The parser reads an
+# expression in one loop over the token list, by index, unpacking each token, and
+# recurses only at a '('; an operand that is a name or a call goes straight into
+# its chain's items.  A number that stands where an element must compiles to a
+# run that raises that place's ScalarOperandError, so the error comes in its
+# turn.  Closures look up ``_sum``, ``mul``, ``access`` etc. as module globals
+# when they run.
 
 class _Number(tuple):
     __slots__ = ()
 
 
-def _expected(what: str, tok: Token) -> ExprSyntaxError:
+def _expected(what: str, tok: tuple) -> ExprSyntaxError:
     found = "end of input" if tok[0] == "end" else repr(tok[1])
     return ExprSyntaxError(f"expected {what}, found {found}", tok[2])
 
@@ -203,7 +201,7 @@ class _Parser:
     ``tokens[i]`` and returns what it read and the index after it.  No index passes
     'end'."""
 
-    def __init__(self, tokens: list[Token], src: str):
+    def __init__(self, tokens: list[tuple], src: str):
         self.src = src
         self.tokens = tokens
         self.depth = 0  # '(' levels open around the current token
@@ -274,9 +272,8 @@ class _Parser:
                 if kind == "name":
                     i += 1
                     if tokens[i][0] == "(":
-                        tok = tokens[i - 1]
                         args, i = self.nested(i, self.call_args)
-                        run = _call(tok, *args)
+                        run = _call(text, pos, *args)
                     else:
                         def run(env, name=text, col=pos):  # defaults: this name, not the last
                             try:
@@ -329,7 +326,7 @@ class _Parser:
             raise _expected("an expression", tok)
         if tok[3] is not None:
             outer, close = self.tokens, self.src.index(")", tok[2])
-            self.tokens = [tok._replace(value=None), *_lex(self.src, tok[2], close + 1)]
+            self.tokens = [("(", "(", tok[2], None), *_lex(self.src, tok[2], close + 1)]
             inner = self.nested(0, read)[0]
             self.tokens = outer
             return inner, i + 1
@@ -537,31 +534,31 @@ _BUILTINS = {
 }
 
 
-def _call(tok: Token, args: tuple, kwargs: tuple) -> Callable:
-    """``run(env)`` for a call of builtin ``tok``: it checks the call in the order the
-    module docstring gives, then runs it.  ``args`` has ``(pos, value run, element
-    run)`` per positional argument, ``kwargs`` ``(name, pos, value)`` per keyword, its
-    value a number or a tuple of symbol names.  The builtin runs its own arguments;
-    every error is a run-time error, and a refused call runs none of its arguments."""
+def _call(fn: str, pos: int, args: tuple, kwargs: tuple) -> Callable:
+    """``run(env)`` for a call of builtin ``fn`` at column ``pos``: it checks the call
+    in the order the module docstring gives, then runs it.  ``args`` has ``(pos, value
+    run, element run)`` per positional argument, ``kwargs`` ``(name, pos, value)`` per
+    keyword, its value a number or a tuple of symbol names.  The builtin runs its own
+    arguments; every error is a run-time error, and a refused call runs none of them."""
 
     def run(env: Env) -> AaaElement:
-        row = _BUILTINS.get(tok.text)
+        row = _BUILTINS.get(fn)
         if row is None:
-            raise EvalError(f"unknown function '{tok.text}'", tok.pos)
+            raise EvalError(f"unknown function '{fn}'", pos)
         counts, takes, keywords, builtin = row
         if len(args) not in counts:
-            raise EvalError(f"{tok.text}() {takes.format(len(args))}", tok.pos)
+            raise EvalError(f"{fn}() {takes.format(len(args))}", pos)
         options: dict = {}
-        for name, pos, value in kwargs:
+        for name, col, value in kwargs:  # col, not pos: pos is the call's
             if name not in keywords:
                 if keywords:
-                    raise EvalError(f"{tok.text}() has no keyword argument '{name}'", tok.pos)
-                raise EvalError(f"{tok.text}() takes no keyword arguments ('{name}')", tok.pos)
+                    raise EvalError(f"{fn}() has no keyword argument '{name}'", pos)
+                raise EvalError(f"{fn}() takes no keyword arguments ('{name}')", pos)
             if name in options:
-                raise EvalError(f"duplicate keyword argument '{name}'", tok.pos)
+                raise EvalError(f"duplicate keyword argument '{name}'", pos)
             problem = keywords[name](name, value)
             if problem is not None:
-                raise EvalError(problem, pos)
+                raise EvalError(problem, col)
             options[name] = value
         try:
             if keywords is _SELECTOR:
@@ -570,7 +567,7 @@ def _call(tok: Token, args: tuple, kwargs: tuple) -> Callable:
         except ExprError:
             raise
         except (AlgebraError, TypeError, ValueError) as exc:
-            raise EvalError(str(exc), tok.pos) from exc
+            raise EvalError(str(exc), pos) from exc
 
     return run
 

@@ -391,6 +391,31 @@ class TestRepl:
         two = run_cli("repl", "--seed", "4", stdin="raaa()\n")
         assert one.stdout == two.stdout
 
+    @staticmethod
+    def repl(monkeypatch, capsys, script, *argv):
+        """The output of ``aaa repl *argv`` run in-process on ``script``."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+        assert cli.main(["repl", *argv]) == 0
+        return capsys.readouterr()
+
+    def test_blank_lines_are_skipped_and_counted(self, monkeypatch, capsys):
+        out = self.repl(monkeypatch, capsys, "\n \t\noops\n")
+        assert (out.out, out.err) == ("", "line 3: col 1: unbound variable 'oops'\n")
+
+    @pytest.mark.parametrize("rest", ["1.5", "1/0", ""])  # the repl reads ':k ' as ':k'
+    def test_refused_context_keeps_the_session(self, monkeypatch, capsys, rest):
+        script = "sym a b c\nraaa()\n{}a*(b*c)\nraaa()\n"
+        kept = self.repl(monkeypatch, capsys, script.format(f":k {rest}\n"), "--seed", "5")
+        plain = self.repl(monkeypatch, capsys, script.format(""), "--seed", "5")
+        assert kept.err == f"invalid rational for :k: {rest!r}\n"
+        assert kept.out == plain.out  # the same bindings, context and seed stream
+        assert kept.out.splitlines()[1] == "-1(a.b)c"
+
+    def test_context_switch_restarts_the_seed_stream(self, monkeypatch, capsys):
+        out = self.repl(monkeypatch, capsys, "raaa()\n:k 2\nraaa()\n", "--seed", "3")
+        first, second = out.out.splitlines()
+        assert first == second and out.err == ""
+
 
 # int() reads each of the first three as 10; a seed is a full match of [+-]?[0-9]+.
 _BAD_SEEDS = ["1_0", " 10 ", "١٠", "abc", "1e3", "1.5", ""]
