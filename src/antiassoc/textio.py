@@ -19,14 +19,16 @@ prints as ``0``.
 
 ``sym`` is :data:`antiassoc.core.SYMBOL_RE`, the one rule that
 :func:`~antiassoc.core.check_symbol` enforces.  Whitespace between terms
-is arbitrary on input.  One compiled pattern matches each whole term; only
-when a match fails does a diagnosis walk the failing term to raise the
-error at its column.  Duplicate keys accumulate and zero-coefficient terms
-are dropped, so parsing is total on the grammar, up to the interpreter's
-limit on the digits of one number, and ``parse(serialize(e)) == e`` for
-every element that serializes.  Each coefficient text of at most 20
-characters is converted once per process and kept, up to 4,096 of them:
-the values are immutable, and no digit limit (never below 640) can refuse them.
+is arbitrary on input.  One ``findall`` scans a whole line, taking each
+term, or any character that starts none; only when the line has such a
+character, or a number that does not convert, does a diagnosis walk the
+line from its first term and raise the first fault's error at its column.
+Duplicate keys accumulate and zero-coefficient terms are dropped, so
+parsing is total on the grammar, up to the interpreter's limit on the
+digits of one number, and ``parse(serialize(e)) == e`` for every element
+that serializes.  Each coefficient text of at most 20 characters is
+converted once per process and kept, up to 4,096 of them: the values are
+immutable, and no digit limit (never below 640) can refuse them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from .core import SYMBOL_RE, AaaElement, AlgebraError, Coefficient, TermKey, _build, zero
+from .core import SYMBOL_RE, AaaElement, AlgebraError, Coefficient, _build, zero
 
 __all__ = ["ParseError", "serialize", "parse"]
 
@@ -70,8 +72,10 @@ def serialize(element: AaaElement) -> str:
 
 
 _S = SYMBOL_RE.pattern
-_TERM_RE = re.compile(
-    rf"([+-][0-9]+(?:/[0-9]+)?)(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*"
+# A whole term, or one character that starts none, whose empty coefficient text fails to convert:
+# the matches of findall cover a line from its first term.
+_TERMS_RE = re.compile(
+    rf"([+-][0-9]+(?:/[0-9]+)?)(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*|\S"
 )
 # The same grammar with every piece allowed to match empty, compiled at the first error: it always
 # matches, and the first required piece left empty (groups 1-3, then key's 5-10) is the error.
@@ -80,7 +84,21 @@ _DIAGNOSIS = (
 )
 _KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}
 _WS_RE = re.compile(r"\s*")
-_COEFFS: dict[str, Coefficient] = {}  # coefficient text -> value, shared by all calls to parse
+
+
+class _Coefficients(dict):
+    """Coefficient text -> value, shared by all calls to parse; a miss converts the text."""
+
+    def __missing__(self, c: str) -> Coefficient:
+        num, _, den = c.partition("/")
+        n, d = int(num), int(den or 1)  # ValueError over the digit limit, or for ""
+        coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int; "/0" raises
+        if len(c) <= 20 and len(self) < 4096:  # 20 chars: far below any digit limit
+            self[c] = coeff
+        return coeff
+
+
+_COEFFS = _Coefficients()
 
 
 def parse(text: str) -> AaaElement:
@@ -98,33 +116,22 @@ def parse(text: str) -> AaaElement:
         if j < len(text):
             raise ParseError("unexpected text after zero element", j + 1)
         return zero()
-    pairs: list[tuple[TermKey, Coefficient]] = []
-    last = i
-    while i < len(text):
-        m = _TERM_RE.match(text, i)
-        if m is None:
-            _diagnose(text, last)
-        c, t1, t2, t3, s1, s2 = m.groups()
-        coeff = _COEFFS.get(c)
-        if coeff is None:
-            try:
-                num, _, den = c.partition("/")
-                n, d = int(num), int(den or 1)
-                coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int
-            except (ValueError, ZeroDivisionError):  # over the digit limit, or "/0"
-                _diagnose(text, i)
-            if len(c) <= 20 and len(_COEFFS) < 4096:  # 20 chars: far below any digit limit
-                _COEFFS[c] = coeff
-        pairs.append(((t1, t2, t3) if t1 else (s1, s2) if s2 else (s1,), coeff))
-        last, i = i, m.end()
+    try:
+        pairs = [
+            ((t1, t2, t3) if t1 else (s1, s2) if s2 else (s1,), _COEFFS[c])
+            for c, t1, t2, t3, s1, s2 in _TERMS_RE.findall(text, i)
+        ]
+    except (ValueError, ZeroDivisionError):
+        _diagnose(text, i)
     return _build(pairs)
 
 
 def _diagnose(text: str, i: int) -> NoReturn:
     """Raise the error of the first term at or after ``i`` that breaks the grammar.
 
-    A match can stop short of a '.', as in ``+1a.``, so the caller passes the
-    start of the last term it matched, not the place where matching failed.
+    ``parse`` passes the start of the line's first term: the walk stops at the
+    first fault in text order, whether in the grammar or in a number, and a
+    term such as ``+1a.`` is read whole, where the scan stops short of its '.'.
     """
     while True:
         m = re.compile(_DIAGNOSIS).match(text, i)

@@ -48,6 +48,10 @@ class TestSerialize:
         assert serialize(one) == serialize(other)
 
 
+# 600 canonical terms of 6 characters each: 4,199 characters, and a599's term starts at column 4194.
+_LONG_LINE = " ".join(f"+1a{k:03}" for k in range(600))
+
+
 class TestParse:
     def test_cancellation_output(self):
         assert serialize(parse(X_PLUS_X1_TEXT)) == X_PLUS_X1_TEXT
@@ -151,11 +155,23 @@ class TestParseErrors:
             ("+1a\u00e9", (4, "expected '+' or '-', found '\u00e9'")),
             ("+\u0661a", (2, "expected digits after sign")),
             ("+1a,+2b", (4, "expected '+' or '-', found ','")),
+            ("+1a+2b.c-3/2(a.b)c", "+1a +2b.c -3/2(a.b)c"),
+            # The first fault in text order is reported, whichever kind each fault is.
+            ("+1a +2b.", (9, "expected symbol")),
+            ("+1a. +1/0b", (5, "expected symbol")),
+            ("+1/0b +1a.", (4, "zero denominator")),
+            ("+1a +2b +3c 0", (13, "expected '+' or '-', found '0'")),
+            pytest.param(_LONG_LINE, _LONG_LINE, id="long"),
+            pytest.param(_LONG_LINE + ".", (4201, "expected symbol"), id="long-dot"),
+            pytest.param(_LONG_LINE[:-6] + "+1/0a599", (4197, "zero denominator"), id="long-zero"),
+            pytest.param(
+                _LONG_LINE[:-6] + "-2a599 x", (4201, "expected '+' or '-', found 'x'"), id="long-x"
+            ),
         ],
     )
     def test_error_table(self, text, expected):
         """Inputs where a term pattern could stop early or run over: canonical text or error."""
-        assert _outcome(parse, text) == expected
+        assert _outcome(parse, text) == expected == _outcome(_reference_parse, text)
 
 
 # A character-by-character walker over the same grammar: the reference that the
@@ -249,10 +265,8 @@ _ELEMENTS = st.builds(
 _EDIT_CHARS = "+-0123456789/().ab_ \u00e9\t"
 
 
-@st.composite
-def _mutated_canonical_text(draw):
-    """Canonical text with a few characters inserted, deleted or substituted."""
-    text = serialize(draw(_ELEMENTS))
+def _mutated(draw, text):
+    """``text`` with a few characters inserted, deleted or substituted."""
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         i = draw(st.integers(min_value=0, max_value=len(text)))
         char = draw(st.sampled_from(_EDIT_CHARS))
@@ -261,10 +275,42 @@ def _mutated_canonical_text(draw):
     return text
 
 
+@st.composite
+def _mutated_canonical_text(draw):
+    """Canonical text with a few characters inserted, deleted or substituted."""
+    return _mutated(draw, serialize(draw(_ELEMENTS)))
+
+
+_TERM_TEXTS = st.tuples(
+    st.sampled_from("+-"),
+    st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(str),
+        st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 99)),
+        st.integers(min_value=10**20, max_value=10**30).map(str),  # over 20 characters: never kept
+    ),
+    st.one_of(
+        _SYMBOLS,
+        st.builds("{}.{}".format, _SYMBOLS, _SYMBOLS),
+        st.builds("({}.{}){}".format, _SYMBOLS, _SYMBOLS, _SYMBOLS),
+    ),
+).map("".join)
+
+
+@st.composite
+def _long_mutated_line(draw):
+    """A line of 50 to 300 terms (duplicate keys, zero numerators and "/0" allowed), then edited."""
+    return _mutated(draw, " ".join(draw(st.lists(_TERM_TEXTS, min_size=50, max_size=300))))
+
+
 class TestAgainstReference:
     @settings(max_examples=300)
     @given(_mutated_canonical_text())
     def test_same_element_or_same_error_as_the_character_walker(self, text):
+        assert _outcome(parse, text) == _outcome(_reference_parse, text)
+
+    @settings(max_examples=30)
+    @given(_long_mutated_line())
+    def test_long_lines_agree_with_the_character_walker(self, text):
         assert _outcome(parse, text) == _outcome(_reference_parse, text)
 
     @given(st.one_of(st.text(), st.text(alphabet=_EDIT_CHARS)))
@@ -312,6 +358,15 @@ class TestCoefficientMemo:
             assert type(c) is int and c == 2
             (c,) = parse("+3/6a").singles.values()
             assert type(c) is Fraction and c == Fraction(1, 2)
+
+    def test_long_texts_are_converted_at_each_use_and_never_kept(self):
+        long = "+123456789012345678901/2"
+        assert len(long) > 20
+        text = f"+1/2a {long}b -3/4c {long}b -1/2a"
+        for _ in range(2):
+            assert _outcome(parse, text) == _outcome(_reference_parse, text)
+            assert serialize(parse(text)) == "+123456789012345678901b -3/4c"
+            assert long not in textio._COEFFS
 
     def test_past_the_cap(self):
         lines = [
