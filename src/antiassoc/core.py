@@ -89,6 +89,21 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _Coefficients(dict):
+    """The one reader of rational text its callers have matched; a miss converts the text."""
+
+    def __missing__(self, c: str) -> Coefficient:
+        num, _, den = c.partition("/")
+        n, d = int(num), int(den or 1)  # ValueError over the digit limit, or for ""
+        coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int; "/0" raises
+        if len(c) <= 20 and len(self) < 4096:  # 20 chars: far below any digit limit
+            self[c] = coeff
+        return coeff
+
+
+_COEFFS = _Coefficients()
+
+
 def as_coeff(value: object) -> Coefficient:
     """Coerce to an exact coefficient: an int, or a Fraction in lowest terms.
 
@@ -96,7 +111,8 @@ def as_coeff(value: object) -> Coefficient:
     of ``[+-]?[0-9]+(?:/[0-9]+)?``.  Floats and bools are rejected:
     coefficients must be exact numbers.  The result is
     exactly an ``int`` or a ``Fraction``, never a subclass, so ``str()``
-    prints it in canonical form.
+    prints it in canonical form.  Text is read by ``_COEFFS``, the process-wide
+    memo that ``textio.parse`` and the statement lexer share (see its class).
     """
     if type(value) is int:
         return value
@@ -108,8 +124,8 @@ def as_coeff(value: object) -> Coefficient:
         return int(value)
     if isinstance(value, str):
         try:
-            if re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", value):
-                return as_coeff(Fraction(value))
+            if m := re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", value):
+                return _COEFFS[m[0]]  # m[0] is a plain str, even for a str subclass
         except (ValueError, ZeroDivisionError):  # "n/0", or more digits than int() reads
             pass
         raise ValueError(f"not a rational literal: {value!r}")

@@ -31,9 +31,9 @@ keyword argument takes the names as they are; a call or a group such as
 ``single(a, b)`` or ``(a, b)`` reads the list's own tokens again.  The
 parser reads an expression in one loop over the tokens, recursing only at
 a '('.
-Numbers are exact rational literals (``2``, ``3/2``), not elements: the
-algebra has no unit, so ``2*a`` is scalar action while ``2 + a`` or ``a*2``
-is an error.
+Numbers are exact rational literals (``2``, ``3/2``), read by ``core._COEFFS``
+as :func:`core.as_coeff` reads text.  They are not elements: the algebra has
+no unit, so ``2*a`` is scalar action while ``2 + a`` or ``a*2`` is an error.
 
 Builtins: ``single``, ``double``, ``triple``, ``set_single``,
 ``set_double``, ``set_triple``, ``extract``, ``replace``, ``raaa``.
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import access
@@ -63,8 +62,8 @@ from .core import (
     AlgebraContext,
     AlgebraError,
     DEFAULT_CONTEXT,
+    _COEFFS,
     _sum,
-    as_coeff,
     from_symbols,
     mul,
 )
@@ -155,9 +154,8 @@ def _lex(src: str, start: int, end: int) -> list[tuple]:
             append(("(", "(", pos, tuple(names[1:-1].replace(",", " ").split())))
             pos += len(names)
         elif number:
-            num, slash, den = number.partition("/")
             try:
-                value = as_coeff(Fraction(int(num), int(den))) if slash else int(num)
+                value = _COEFFS[number]
             except ZeroDivisionError:
                 raise LexError("zero denominator in rational literal", pos) from None
             except ValueError:  # int() refuses more than sys.get_int_max_str_digits()

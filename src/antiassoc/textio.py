@@ -26,19 +26,18 @@ line from its first term and raise the first fault's error at its column.
 Duplicate keys accumulate and zero-coefficient terms are dropped, so
 parsing is total on the grammar, up to the interpreter's limit on the
 digits of one number, and ``parse(serialize(e)) == e`` for every element
-that serializes.  Each coefficient text of at most 20 characters is
-converted once per process and kept, up to 4,096 of them: the values are
-immutable, and no digit limit (never below 640) can refuse them.
+that serializes.  Coefficient texts are read by ``core._COEFFS``, the memo
+that ``as_coeff`` and the statement lexer share: each text of at most 20
+characters is converted once per process and kept, up to 4,096 of them.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
-from .core import SYMBOL_RE, AaaElement, AlgebraError, Coefficient, _build, zero
+from .core import _COEFFS, SYMBOL_RE, AaaElement, AlgebraError, _build, zero
 
 __all__ = ["ParseError", "serialize", "parse"]
 
@@ -84,21 +83,6 @@ _DIAGNOSIS = (
 )
 _KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}
 _WS_RE = re.compile(r"\s*")
-
-
-class _Coefficients(dict):
-    """Coefficient text -> value, shared by all calls to parse; a miss converts the text."""
-
-    def __missing__(self, c: str) -> Coefficient:
-        num, _, den = c.partition("/")
-        n, d = int(num), int(den or 1)  # ValueError over the digit limit, or for ""
-        coeff = Fraction(n, d) if n % d else n // d  # an integral n/d is an int; "/0" raises
-        if len(c) <= 20 and len(self) < 4096:  # 20 chars: far below any digit limit
-            self[c] = coeff
-        return coeff
-
-
-_COEFFS = _Coefficients()
 
 
 def parse(text: str) -> AaaElement:

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiassoc import AaaElement, ParseError, make_element, parse, scalar_mul, serialize, zero
-from antiassoc import textio
-from antiassoc.core import SYMBOL_RE, _build
+from antiassoc import core, textio
+from antiassoc.core import SYMBOL_RE, _build, as_coeff
+from antiassoc.exprlang import LexError, tokenize
 from antiassoc.rng import raaa
 from conftest import CANONICAL_FIXTURES, PRODUCT_TEXT, X_PLUS_X1_TEXT
 
@@ -341,14 +342,22 @@ class TestCoefficientMemo:
         limit = sys.get_int_max_str_digits()
         if not limit:
             pytest.skip("the interpreter has no int-string digit limit")
-        text = f"+{'7' * 700}a"
+        digits = "7" * 700
+        text = f"+{digits}a"
         try:
             sys.set_int_max_str_digits(1000)
             assert serialize(parse(text)) == text
+            assert as_coeff(digits) == int(digits)
+            assert tokenize(f"sym a; {digits}*a")[3][3] == int(digits)
             sys.set_int_max_str_digits(640)
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert (err.value.column, err.value.message) == (2, "number longer than 640 digits")
+            with pytest.raises(ValueError, match="not a rational literal"):
+                as_coeff(digits)
+            with pytest.raises(LexError) as lex:
+                tokenize(f"sym a; {digits}*a")
+            assert (lex.value.pos, lex.value.message) == (8, "number longer than 640 digits")
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -381,3 +390,65 @@ class TestCoefficientMemo:
             for line in lines:
                 assert _outcome(parse, line) == _outcome(_reference_parse, line)
         assert len(textio._COEFFS) <= 4096
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_RATIONAL_TEXTS = st.one_of(
+    _DIGITS, st.builds("{}/{}".format, _DIGITS, _DIGITS.filter(lambda d: int(d) != 0))
+)
+
+
+def _exact(value):
+    """The coefficient of ``value``: an int when it is integral, else the Fraction."""
+    return int(value) if value.denominator == 1 else value
+
+
+class TestOneReader:
+    """``as_coeff``, ``parse`` and the statement lexer read rational text through ``core._COEFFS``."""
+
+    def test_textio_reads_the_memo_of_core(self):
+        assert textio._COEFFS is core._COEFFS
+
+    @given(_RATIONAL_TEXTS)
+    def test_every_reader_gives_the_same_exact_value(self, t):
+        expected = _exact(Fraction(t))
+        core._COEFFS.clear()  # an earlier test may have filled it to its cap
+        for hit in (False, len(t) <= 20):  # a miss, then a hit if the text is kept
+            assert (t in core._COEFFS) == hit
+            readings = [
+                as_coeff(t),
+                as_coeff("+" + t),
+                tokenize(t)[0][3],
+                parse(f"+{t}a").singles.get(("a",), 0),
+            ]
+            assert [(type(c), c) for c in readings] == [(type(expected), expected)] * 4
+            negated = [as_coeff("-" + t), parse(f"-{t}a").singles.get(("a",), 0)]
+            assert [(type(c), c) for c in negated] == [(type(expected), -expected)] * 2
+
+    def test_long_texts_are_never_kept(self):
+        long = "123456789012345678901/2"
+        assert len(long) > 20
+        for _ in range(2):
+            assert as_coeff(long) == Fraction(int(long[:-2]), 2)
+            assert tokenize(long)[0][3] == Fraction(int(long[:-2]), 2)
+            assert long not in core._COEFFS
+
+    def test_past_the_cap(self):
+        for k in range(10_000):
+            assert as_coeff(f"{k}/7") == Fraction(k, 7)
+        assert len(core._COEFFS) <= 4096
+
+    def test_a_str_subclass_is_read_by_its_characters(self):
+        class Alike(str):
+            """Hashes as "1" and equals everything: it must not reach the memo as a key."""
+
+            def __hash__(self):
+                return hash("1")
+
+            def __eq__(self, other):
+                return True
+
+        core._COEFFS.clear()  # with room, an Alike key would be kept and answer for "1"
+        assert as_coeff(Alike("7")) == 7
+        assert as_coeff("1") == 1
+        assert all(type(text) is str for text in core._COEFFS)
