@@ -111,8 +111,8 @@ def as_coeff(value: object) -> Coefficient:
     of ``[+-]?[0-9]+(?:/[0-9]+)?``.  Floats and bools are rejected:
     coefficients must be exact numbers.  The result is
     exactly an ``int`` or a ``Fraction``, never a subclass, so ``str()``
-    prints it in canonical form.  Text is read by ``_COEFFS``, the process-wide
-    memo that ``textio.parse`` and the statement lexer share (see its class).
+    prints it in canonical form.  Text is read by ``_COEFFS``, keyed by the text
+    as written, with the rule and cap that ``textio.parse`` and the lexer share.
     """
     if type(value) is int:
         return value

@@ -26,9 +26,9 @@ line from its first term and raise the first fault's error at its column.
 Duplicate keys accumulate and zero-coefficient terms are dropped, so
 parsing is total on the grammar, up to the interpreter's limit on the
 digits of one number, and ``parse(serialize(e)) == e`` for every element
-that serializes.  Coefficient texts are read by ``core._COEFFS``, the memo
-that ``as_coeff`` and the statement lexer share: each text of at most 20
-characters is converted once per process and kept, up to 4,096 of them.
+that serializes.  Coefficient texts are read by ``core._COEFFS``: ``as_coeff``
+and the statement lexer share its rule and its process-wide cap of 4,096 texts
+(``parse`` keys signed texts like ``+3/6``, the lexer unsigned ones like ``3/6``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Line coverage of ``src/antiassoc`` over the Tier-1 suite, child processes included.
 
-Run it from the root of a checkout (stdlib only; extra arguments go to pytest)::
+Run it from the root of a checkout (stdlib only)::
 
     python tests/coverage_gate.py
 
@@ -77,7 +77,7 @@ def _executable_lines(path) -> set:
     return lines
 
 
-def main(argv: list) -> int:
+def main() -> int:
     import json
     import subprocess
     import tempfile
@@ -89,7 +89,7 @@ def main(argv: list) -> int:
         Path(out, "sitecustomize.py").write_text(_SITE.format(gate=os.path.abspath(__file__), out=out))
         paths = [out, str(root / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *argv]
+        command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
         status = subprocess.run(command, cwd=root, env=env).returncode
         ran: set = set()
         reports = list(Path(out).glob("*.json"))
@@ -115,4 +115,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -324,6 +324,15 @@ class TestAgainstReference:
         assert parse(serialize(element)) == element
 
 
+@pytest.fixture
+def empty_memo():
+    """Empty the process-wide coefficient memo before the test and after it."""
+    core._COEFFS.clear()
+    yield
+    core._COEFFS.clear()
+
+
+@pytest.mark.usefixtures("empty_memo")
 class TestCoefficientMemo:
     """``parse`` remembers short coefficient texts across calls; nothing observable changes."""
 
@@ -375,7 +384,10 @@ class TestCoefficientMemo:
         for _ in range(2):
             assert _outcome(parse, text) == _outcome(_reference_parse, text)
             assert serialize(parse(text)) == "+123456789012345678901b -3/4c"
+            assert as_coeff(long) == Fraction(int(long[1:-2]), 2)
+            assert tokenize(long[1:])[0][3] == Fraction(int(long[1:-2]), 2)
             assert long not in textio._COEFFS
+            assert long[1:] not in textio._COEFFS
 
     def test_past_the_cap(self):
         lines = [
@@ -390,6 +402,10 @@ class TestCoefficientMemo:
             for line in lines:
                 assert _outcome(parse, line) == _outcome(_reference_parse, line)
         assert len(textio._COEFFS) <= 4096
+        for k in range(10_000):
+            assert as_coeff(f"{k}/7") == Fraction(k, 7)
+            assert tokenize(f"{k}/7")[0][3] == Fraction(k, 7)
+        assert len(textio._COEFFS) <= 4096
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=30)
@@ -403,6 +419,7 @@ def _exact(value):
     return int(value) if value.denominator == 1 else value
 
 
+@pytest.mark.usefixtures("empty_memo")
 class TestOneReader:
     """``as_coeff``, ``parse`` and the statement lexer read rational text through ``core._COEFFS``."""
 
@@ -412,7 +429,7 @@ class TestOneReader:
     @given(_RATIONAL_TEXTS)
     def test_every_reader_gives_the_same_exact_value(self, t):
         expected = _exact(Fraction(t))
-        core._COEFFS.clear()  # an earlier test may have filled it to its cap
+        core._COEFFS.clear()  # each example starts with a miss: hypothesis may repeat a text
         for hit in (False, len(t) <= 20):  # a miss, then a hit if the text is kept
             assert (t in core._COEFFS) == hit
             readings = [
@@ -425,19 +442,6 @@ class TestOneReader:
             negated = [as_coeff("-" + t), parse(f"-{t}a").singles.get(("a",), 0)]
             assert [(type(c), c) for c in negated] == [(type(expected), -expected)] * 2
 
-    def test_long_texts_are_never_kept(self):
-        long = "123456789012345678901/2"
-        assert len(long) > 20
-        for _ in range(2):
-            assert as_coeff(long) == Fraction(int(long[:-2]), 2)
-            assert tokenize(long)[0][3] == Fraction(int(long[:-2]), 2)
-            assert long not in core._COEFFS
-
-    def test_past_the_cap(self):
-        for k in range(10_000):
-            assert as_coeff(f"{k}/7") == Fraction(k, 7)
-        assert len(core._COEFFS) <= 4096
-
     def test_a_str_subclass_is_read_by_its_characters(self):
         class Alike(str):
             """Hashes as "1" and equals everything: it must not reach the memo as a key."""
@@ -448,7 +452,7 @@ class TestOneReader:
             def __eq__(self, other):
                 return True
 
-        core._COEFFS.clear()  # with room, an Alike key would be kept and answer for "1"
+        # The memo is empty, so an Alike key would be kept and answer for "1".
         assert as_coeff(Alike("7")) == 7
         assert as_coeff("1") == 1
         assert all(type(text) is str for text in core._COEFFS)
