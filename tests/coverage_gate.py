@@ -9,10 +9,8 @@ directory holding a ``sitecustomize.py``.  That file starts :func:`start` in eve
 Python process the suite runs, the suite's own included, so each one traces the
 package's frames with ``sys.settrace`` and writes the lines it ran to
 ``<pid>.json`` as it exits.  The executable lines of a file are those that its
-code objects' ``co_lines()`` name.  A line that never ran must be listed, by file
-and text, with its reason, in ``coverage_allowed.json``.  The gate exits 1 when
-a line outside that list goes unrun, or when a listed line runs; and with the
-suite's status when the suite fails.
+code objects' ``co_lines()`` name.  The gate exits 1 when any of them went unrun,
+with no exceptions, and with the suite's status when the suite fails.
 """
 
 import atexit
@@ -77,6 +75,18 @@ def _executable_lines(path) -> set:
     return lines
 
 
+def unrun(ran: set, paths) -> tuple:
+    """How many executable lines the files at ``paths`` hold, and each one whose
+    ``(file name, line)`` is not in ``ran``, as ``(file name, line, text)``."""
+    missed, total = [], 0
+    for path in sorted(paths):
+        lines = _executable_lines(path)
+        total += len(lines)
+        text = path.read_text().splitlines()
+        missed += [(path.name, n, text[n - 1].strip()) for n in sorted(lines) if (path.name, n) not in ran]
+    return total, missed
+
+
 def main() -> int:
     import json
     import subprocess
@@ -84,7 +94,6 @@ def main() -> int:
     from pathlib import Path
 
     root = Path(_PACKAGE).parent.parent
-    allowed = json.loads(Path(__file__).with_name("coverage_allowed.json").read_text())
     with tempfile.TemporaryDirectory() as out:
         Path(out, "sitecustomize.py").write_text(_SITE.format(gate=os.path.abspath(__file__), out=out))
         paths = [out, str(root / "src"), os.environ.get("PYTHONPATH", "")]
@@ -95,23 +104,11 @@ def main() -> int:
         reports = list(Path(out).glob("*.json"))
         for report in reports:
             ran.update((name, line) for name, lines in json.loads(report.read_text()).items() for line in lines)
-    unrun, total = [], 0
-    for path in sorted(Path(_PACKAGE).glob("*.py")):
-        lines = _executable_lines(path)
-        total += len(lines)
-        text = path.read_text().splitlines()
-        unrun += [(path.name, n, text[n - 1].strip()) for n in sorted(lines) if (path.name, n) not in ran]
-    print(f"coverage: {total - len(unrun)} of {total} executable lines ran, in {len(reports)} processes")
-    keys = {(entry["file"], entry["line"]) for entry in allowed}
-    failed = False
-    for name, n, text in unrun:
-        listed = (name, text) in keys
-        failed |= not listed
-        print(f"{'unrun (allowed)' if listed else 'UNRUN'}: {name}:{n}: {text}")
-    for name, text in sorted(keys - {(name, text) for name, _, text in unrun}):
-        failed = True
-        print(f"LISTED BUT RAN (or gone): {name}: {text}")
-    return status or int(failed)
+    total, missed = unrun(ran, Path(_PACKAGE).glob("*.py"))
+    print(f"coverage: {total - len(missed)} of {total} executable lines ran, in {len(reports)} processes")
+    for name, n, text in missed:
+        print(f"UNRUN: {name}:{n}: {text}")
+    return status or int(bool(missed))
 
 
 if __name__ == "__main__":

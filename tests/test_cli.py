@@ -21,6 +21,53 @@ def run_cli(*argv, stdin=None, env=None):
     )
 
 
+_LIMIT = sys.get_int_max_str_digits()
+_NINES = "9" * _LIMIT
+_UNPRINTABLE = f"cannot print the result: a coefficient has more than {_LIMIT} digits"
+_NOT_ELEMENT = "a bare number cannot be used as an element (the algebra has no unit)"
+
+# id: (argv, stdin, exit code, stdout, stderr) of one in-process cli.main
+_REPLIES = {
+    "selector": (["eval", "sym a b; extract(a + 2*b, s1=(a, b))"], "", 0, "+1a +2b\n", ""),
+    "selector-of-a-difference": (["eval", "sym a b; extract(2*a - b, s1=(a, b))"], "", 0,
+                                 "+2a -1b\n", ""),
+    "scaled-group-minus-minus": (["eval", "sym a b; 2*(a - 3/2*b) - -a"], "", 0, "+3a -3b\n", ""),
+    "rational-factors": (["eval", "sym a; 4/2*a + 3/6*a"], "", 0, "+5/2a\n", ""),
+    "k-in-lowest-terms": (["eval", "--k=4/2", "sym a b c; a*(b*c)"], "", 0, "+2(a.b)c\n", ""),
+    "long-flat-sum": (["eval", "sym a; " + "+".join(["a"] * 5000)], "", 0, "+5000a\n", ""),
+    "unended-sum": (["eval", "sym a; (a +"], "", 2, "",
+                    "line 1: col 12: expected an expression, found end of input\n"),
+    "syntax-error-on-line-2": (["eval"], "sym a\na + \n", 2, "",
+                               "line 2: col 5: expected an expression, found end of input\n"),
+    "two-names-in-a-row": (["eval", "sym a b; a b"], "", 2, "",
+                           "line 1: col 12: expected ';' or end of statement, found 'b'\n"),
+    "unclosed-group": (["eval", "sym a; -(a"], "", 2, "",
+                       "line 1: col 11: expected ')', found end of input\n"),
+    "zero-denominator": (["eval", "sym a; 1/0*a"], "", 2, "",
+                         "line 1: col 8: zero denominator in rational literal\n"),
+    "number-as-a-summand": (["eval", "sym a; 2 + a"], "", 2, "", f"line 1: col 8: {_NOT_ELEMENT}\n"),
+    "number-in-a-group": (["eval", "sym a; a + 2*(a + 3)"], "", 2, "",
+                          f"line 1: col 19: {_NOT_ELEMENT}\n"),
+    "number-as-an-argument": (["eval", "sym a; single(2)"], "", 2, "",
+                              f"line 1: col 15: {_NOT_ELEMENT}\n"),
+    "number-as-a-right-factor": (["eval", "sym a; a*2"], "", 2, "",
+                                 "line 1: col 10: a number may only appear as the left factor of '*'\n"),
+    "symbol-list-as-two-arguments": (["eval", "sym a b; single(a, b)"], "", 2, "",
+                                     "line 1: col 10: single() takes 1 positional argument(s), got 2\n"),
+    "unprintable-result": (["eval", f"sym a; let x = {'9' * 2000}*a; a", "x*(x*x)", "a"], "", 2,
+                           "+1a\n", f"line 2: {_UNPRINTABLE}\n"),
+    "terms-cancel": (["parse"], "-1a.b +1a.b\n", 0, "0\n", ""),
+    "lowest-terms-on-each-line": (["parse"], "+3/6a +4/2b\n" * 2, 0, "+1/2a +2b\n" * 2, ""),
+}
+
+
+class TestReplies:
+    @pytest.mark.parametrize("argv, stdin, code, out, err", _REPLIES.values(), ids=_REPLIES)
+    def test_reply(self, monkeypatch, capsys, argv, stdin, code, out, err):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert (cli.main(argv), *capsys.readouterr()) == (code, out, err)
+
+
 class TestEval:
     def test_bracket_rewrite(self):
         proc = run_cli("eval", "sym a b c; a*(b*c)")
@@ -57,17 +104,6 @@ class TestEval:
         assert proc.returncode == 0
         assert proc.stdout == "+1a.b\n"
 
-    def test_parse_error_reports_line_and_col(self):
-        proc = run_cli("eval", stdin="sym a\na + \n")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("line 2: col 5:")
-
-    def test_eval_error_exits_2(self):
-        proc = run_cli("eval", "sym a; 2 + a")
-        assert proc.returncode == 2
-        assert "line 1" in proc.stderr
-
     def test_seed_determinism(self):
         one = run_cli("eval", "--seed", "11", "let r = raaa(); r")
         two = run_cli("eval", "--seed", "11", "let r = raaa(); r")
@@ -88,11 +124,6 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stderr == "line 1: col 1: illegal character '\u00b2'\n"
 
-    def test_long_flat_sum_exits_2(self):
-        proc = run_cli("eval", "sym a; " + "+".join(["a"] * 5000))
-        assert proc.returncode == 0
-        assert proc.stdout == "+5000a\n"
-
     def test_deep_nesting_exits_2(self):
         proc = run_cli("eval", stdin="sym a\n" + "(" * 3000 + "a" + ")" * 3000 + "\n")
         assert proc.returncode == 2
@@ -105,13 +136,6 @@ class TestEval:
         proc = run_cli("eval", f"sym a; {'9' * (sys.get_int_max_str_digits() + 1)}*a")
         assert proc.returncode == 2
         assert proc.stderr.startswith("line 1: col 8: number longer than")
-
-    def test_unprintable_result_exits_2(self):
-        proc = run_cli("eval", f"sym a; let x = {'9' * 2000}*a; a", "x*(x*x)", "a")
-        assert proc.returncode == 2
-        assert proc.stdout == "+1a\n"
-        assert proc.stderr.startswith("line 2: cannot print the result")
-        assert "internal error" not in proc.stderr
 
     def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
         def crash(src, env):
@@ -190,6 +214,13 @@ class TestParseCommand:
     @pytest.mark.parametrize("text, message", [
         ("+1a +", "line 1: col 6: expected digits after sign"),
         ("+1/0a", "line 1: col 4: zero denominator"),
+        ("+1/2a\n+1/0a", "line 2: col 4: zero denominator"),
+        ("+1a +2b.", "line 1: col 9: expected symbol"),
+        ("+1a. +1/0b", "line 1: col 5: expected symbol"),
+        ("+1/0b +1a.", "line 1: col 4: zero denominator"),
+        pytest.param(f"+9{_NINES}a", f"line 1: col 2: number longer than {_LIMIT} digits",
+                     id="number-over-the-digit-limit"),
+        pytest.param(f"+{_NINES}a +{_NINES}a", f"line 1: {_UNPRINTABLE}", id="unprintable-sum"),
     ])
     def test_errors_name_their_column(self, text, message):
         proc = run_cli("parse", stdin=text + "\n")
@@ -209,20 +240,6 @@ class TestParseCommand:
         proc = run_cli("parse", stdin="+1a\n+1a +\n")
         assert proc.returncode == 2
         assert proc.stderr.startswith("line 2:")
-
-    def test_numbers_over_the_digit_limit_exit_2(self):
-        limit = sys.get_int_max_str_digits()
-        at_limit = "9" * limit
-        for text, message in (
-            (f"+9{at_limit}a", f"line 1: col 2: number longer than {limit} digits"),
-            (
-                f"+{at_limit}a +{at_limit}a",
-                f"line 1: cannot print the result: a coefficient has more than {limit} digits",
-            ),
-        ):
-            proc = run_cli("parse", stdin=text + "\n")
-            assert proc.returncode == 2
-            assert proc.stderr.strip() == message
 
 
 class TestCheckCommand:
@@ -384,6 +401,14 @@ class TestRepl:
         captured = capsys.readouterr()
         assert captured.out == "\n+1a\n"  # a new line, as after Ctrl-C at the prompt
         assert captured.err == "line 2: col 1: unbound variable 'x'\n"
+
+    def test_a_terminal_gets_a_banner_and_prompts(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "readline", None)  # its import fails, as where it is missing
+        monkeypatch.setattr(sys, "stdin", io.StringIO("sym a\na\n"))
+        monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+        assert cli.main(["repl"]) == 0
+        banner = "type :quit to leave, :k RAT for a fresh context, :seed N to reseed\n"
+        assert capsys.readouterr() == (banner + "aaa> aaa> +1a\naaa> ", "")
 
     def test_reseed_command(self):
         script = ":seed 4\nraaa()\n"
