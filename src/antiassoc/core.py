@@ -62,8 +62,10 @@ class LengthMismatchError(AlgebraError):
     """Parallel argument lists differ in length."""
 
 
-# The one symbol grammar, shared by check_symbol, textio and exprlang.
-SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# The one symbol grammar, shared by check_symbol, textio and exprlang.  A scan that must not stop
+# inside a symbol looks ahead for a _SYMBOL_CHAR.
+_SYMBOL_CHAR = "[A-Za-z_0-9]"
+SYMBOL_RE = re.compile(f"[A-Za-z_]{_SYMBOL_CHAR}*")
 
 
 def check_symbol(name: object) -> str:
@@ -102,6 +104,7 @@ class _Coefficients(dict):
 
 
 _COEFFS = _Coefficients()
+_RATIONAL = "[0-9]+(?:/[0-9]+)?"  # the one rule for rational text; each reader adds its sign
 
 
 def as_coeff(value: object) -> Coefficient:
@@ -124,7 +127,7 @@ def as_coeff(value: object) -> Coefficient:
         return int(value)
     if isinstance(value, str):
         try:
-            if m := re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", value):
+            if m := re.fullmatch(f"[+-]?{_RATIONAL}", value):
                 return _COEFFS[m[0]]  # m[0] is a plain str, even for a str subclass
         except (ValueError, ZeroDivisionError):  # "n/0", or more digits than int() reads
             pass

@@ -63,6 +63,8 @@ from .core import (
     AlgebraError,
     DEFAULT_CONTEXT,
     _COEFFS,
+    _RATIONAL,
+    _SYMBOL_CHAR,
     _sum,
     from_symbols,
     mul,
@@ -116,14 +118,14 @@ class ScalarOperandError(EvalError):
 # 1-based column; ``value`` is a number's value, a symbol list's names, or None.
 
 _KEYWORDS = frozenset({"sym", "let"})
-_LISTED = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z_0-9])){SYMBOL_RE.pattern}"
+_LISTED = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?!{_SYMBOL_CHAR})){SYMBOL_RE.pattern}"
 # A match is a token and the whitespace before it; the last group takes any
 # other non-space character, so the matches are contiguous.  A symbol list,
 # '(' and one or more names that are not keywords, separated by ',', and ')',
 # is one '(' token whose value is the names: they are matched here, once.
 _TOKEN_RE = re.compile(
     rf"(\s*)(?:(\(\s*{_LISTED}(?:\s*,\s*{_LISTED})*\s*\))|([-+*()=,;])"
-    rf"|({SYMBOL_RE.pattern})|([0-9]+(?:/[0-9]+)?)|(\S))"
+    rf"|({SYMBOL_RE.pattern})|({_RATIONAL})|(\S))"
 )
 
 
@@ -369,8 +371,7 @@ class _Parser:
                 i += 2
             if tokens[i][0] != "name":
                 raise _expected("a symbol name", tokens[i])
-            if tokens[i + 1][0] != ")":
-                raise _expected("')'", tokens[i + 1])
+            raise _expected("')'", tokens[i + 1])  # with a ')' here, it would have lexed as one
         raise ExprSyntaxError(
             "expected a number, a symbol name or a parenthesized symbol list", pos
         )

@@ -15,14 +15,13 @@ prints as ``0``.
     element := '0' | term+
     term    := ('+' | '-') digits ('/' digits)? key
     key     := sym | sym '.' sym | '(' sym '.' sym ')' sym
-    sym     := [A-Za-z_][A-Za-z_0-9]*
 
 ``sym`` is :data:`antiassoc.core.SYMBOL_RE`, the one rule that
 :func:`~antiassoc.core.check_symbol` enforces.  Whitespace between terms
 is arbitrary on input.  One ``findall`` scans a whole line, taking each
-term, or any character that starts none; only when the line has such a
-character, or a number that does not convert, does a diagnosis walk the
-line from its first term and raise the first fault's error at its column.
+term, or any character that starts none.  A term is taken whole or not at
+all, so the first item refused, a lone character or a term whose number
+does not convert, starts the first faulty term: only that term is diagnosed.
 Duplicate keys accumulate and zero-coefficient terms are dropped, so
 parsing is total on the grammar, up to the interpreter's limit on the
 digits of one number, and ``parse(serialize(e)) == e`` for every element
@@ -37,7 +36,8 @@ import re
 import sys
 from typing import NoReturn
 
-from .core import _COEFFS, SYMBOL_RE, AaaElement, AlgebraError, _build, zero
+from .core import _COEFFS, _RATIONAL, _SYMBOL_CHAR, SYMBOL_RE, AaaElement, AlgebraError
+from .core import _build, zero
 
 __all__ = ["ParseError", "serialize", "parse"]
 
@@ -71,17 +71,17 @@ def serialize(element: AaaElement) -> str:
 
 
 _S = SYMBOL_RE.pattern
-# A whole term, or one character that starts none, whose empty coefficient text fails to convert:
-# the matches of findall cover a line from its first term.
+# A whole term, or one character that starts none, whose empty coefficient text fails to convert.
+# A lone symbol may not end before a symbol character or a '.', so no faulty term is taken in part.
 _TERMS_RE = re.compile(
-    rf"([+-][0-9]+(?:/[0-9]+)?)(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S}))?)\s*|\S"
+    rf"([+-]{_RATIONAL})(?:\(({_S})\.({_S})\)({_S})|({_S})(?:\.({_S})|(?!{_SYMBOL_CHAR}|\.)))\s*|\S"
 )
 # The same grammar with every piece allowed to match empty, compiled at the first error: it always
 # matches, and the first required piece left empty (groups 1-3, then key's 5-10) is the error.
 _DIAGNOSIS = (
     rf"([+-]?)([0-9]*)(?:/([0-9]*))?(\()?({_S}|)(?(4)(\.?)({_S}|)(\)?)({_S}|)|(?:\.({_S}|))?)"
 )
-_KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}
+_KEY_ERRORS = {6: "expected '.' inside '(...)'", 8: "unclosed '('"}  # reported at the '('
 _WS_RE = re.compile(r"\s*")
 
 
@@ -105,36 +105,31 @@ def parse(text: str) -> AaaElement:
             ((t1, t2, t3) if t1 else (s1, s2) if s2 else (s1,), _COEFFS[c])
             for c, t1, t2, t3, s1, s2 in _TERMS_RE.findall(text, i)
         ]
-    except (ValueError, ZeroDivisionError):
-        _diagnose(text, i)
+    except (ValueError, ZeroDivisionError):  # the first item refused starts the faulty term
+        for m in _TERMS_RE.finditer(text, i):
+            try:
+                _COEFFS[m[1] or ""]  # a lone character: "" does not convert
+            except (ValueError, ZeroDivisionError):
+                _diagnose(text, m.start())
     return _build(pairs)
 
 
 def _diagnose(text: str, i: int) -> NoReturn:
-    """Raise the error of the first term at or after ``i`` that breaks the grammar.
-
-    ``parse`` passes the start of the line's first term: the walk stops at the
-    first fault in text order, whether in the grammar or in a number, and a
-    term such as ``+1a.`` is read whole, where the scan stops short of its '.'.
-    """
-    while True:
-        m = re.compile(_DIAGNOSIS).match(text, i)
-        sign, num, den = m.group(1, 2, 3)
-        if not sign:
-            raise ParseError(f"expected '+' or '-', found {text[i]!r}", i + 1)
-        if not num:
-            raise ParseError("expected digits after sign", i + 2)
-        try:
-            int(num)
-            if den == "":
-                raise ParseError("expected digits after '/'", m.start(3) + 1)
-            if den and not int(den):
-                raise ParseError("zero denominator", m.start(3) + 1)
-        except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(f"number longer than {limit} digits", i + 2) from None
-        for g in range(5, 11):
-            if m[g] == "":  # an unclosed '(' is reported at the '('
-                column = m.start(4 if g == 8 else g) + 1
-                raise ParseError(_KEY_ERRORS.get(g, "expected symbol"), column)
-        i = _WS_RE.match(text, m.end()).end()
+    """Raise the error of the term at ``i``, the first item that the scan refused."""
+    m = re.compile(_DIAGNOSIS).match(text, i)
+    sign, num, den = m.group(1, 2, 3)
+    if not sign:
+        raise ParseError(f"expected '+' or '-', found {text[i]!r}", i + 1)
+    if not num:
+        raise ParseError("expected digits after sign", i + 2)
+    try:
+        int(num)
+        if den == "":
+            raise ParseError("expected digits after '/'", m.start(3) + 1)
+        if den and not int(den):
+            raise ParseError("zero denominator", m.start(3) + 1)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number longer than {limit} digits", i + 2) from None
+    g = next(g for g in range(5, 11) if m[g] == "")  # the scan refused the term: a piece is empty
+    raise ParseError(_KEY_ERRORS.get(g, "expected symbol"), m.start(4 if g == 8 else g) + 1)

@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -162,6 +163,11 @@ class TestParseErrors:
             ("+1a. +1/0b", (5, "expected symbol")),
             ("+1/0b +1a.", (4, "zero denominator")),
             ("+1a +2b +3c 0", (13, "expected '+' or '-', found '0'")),
+            # A lone symbol is never cut short before a symbol character or a '.'.
+            ("+1ab.", (6, "expected symbol")),
+            ("+1a_1.", (7, "expected symbol")),
+            ("+1a +2b_c. +3c", (11, "expected symbol")),
+            ("+1a.b.c", (6, "expected '+' or '-', found '.'")),
             pytest.param(_LONG_LINE, _LONG_LINE, id="long"),
             pytest.param(_LONG_LINE + ".", (4201, "expected symbol"), id="long-dot"),
             pytest.param(_LONG_LINE[:-6] + "+1/0a599", (4197, "zero denominator"), id="long-zero"),
@@ -310,6 +316,13 @@ def _long_mutated_line(draw):
 
 
 class TestAgainstReference:
+    def test_every_short_string(self):
+        """Every string of up to 4 characters over 12 that cover the grammar: 22,621 strings."""
+        chars = "+-10/a.() \u00e9_"
+        texts = ["".join(t) for n in range(5) for t in itertools.product(chars, repeat=n)]
+        assert len(texts) == 22621
+        assert [_outcome(parse, t) for t in texts] == [_outcome(_reference_parse, t) for t in texts]
+
     @settings(max_examples=300)
     @given(_mutated_canonical_text())
     def test_same_element_or_same_error_as_the_character_walker(self, text):
