@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -447,11 +448,14 @@ def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
     more and contributes nothing, so the result never has single-symbol
     terms.
     """
+    # Products and sums of ints are ints: only a Fraction operand or K calls for the walks.
+    k = ctx.k
+    operands = a.singles.values(), a.doubles.values(), b.singles.values(), b.doubles.values()
+    walk = type(k) is not int or not {int}.issuperset(map(type, chain(*operands)))
     # Keys within each of the first two blocks are distinct, so those
     # blocks assign; only the K block can meet keys already present.
-    doubles = {i + j: ca * cb for i, ca in a.singles.items() for j, cb in b.singles.items()}
+    doubles = _doubles(a, b, walk)
     triples = {ij + x: ca * cb for ij, ca in a.doubles.items() for x, cb in b.singles.items()}
-    k = ctx.k
     if k:
         for i, ca in a.singles.items():
             kca = k * ca
@@ -462,9 +466,18 @@ def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
                     triples[key] = total
                 else:
                     del triples[key]
-    # Products and sums of ints are ints: only a Fraction operand or K calls for the walk.
-    operands = (a.singles, a.doubles, b.singles, b.doubles)
-    if type(k) is not int or any(type(c) is not int for m in operands for c in m.values()):
-        _ints(doubles)
+    if walk:
         _ints(triples)
     return AaaElement._trusted({}, doubles, triples)
+
+
+def _doubles(a: AaaElement, b: AaaElement, walk: bool | None = None) -> dict:
+    """Singles of ``a`` times singles of ``b``: the degree-2 part of ``a*b``, and all of it
+    that another product reads.  Integral Fractions become ints; ``walk`` says whether an
+    operand may hold a Fraction, and by default the singles are looked at."""
+    doubles = {i + j: ca * cb for i, ca in a.singles.items() for j, cb in b.singles.items()}
+    if walk is None:
+        walk = not {int}.issuperset(map(type, chain(a.singles.values(), b.singles.values())))
+    if walk:
+        _ints(doubles)
+    return doubles

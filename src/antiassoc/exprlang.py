@@ -46,6 +46,10 @@ positional count, each keyword in turn (unknown, given twice, a bad value),
 then a selector's columns.
 ``raaa()`` draws at most :data:`MAX_RAAA_TERMS` terms per degree, and one
 ``*`` of two elements forms at most :data:`MAX_PRODUCT_TERMS` term products.
+A product read only as an operand of ``*`` forms its doubles alone, as its
+triples would never reach the result: every ``*`` of a chain but the last, and
+the products in an operand's group or sum.  A builtin reads its arguments
+whole, and the cap counts the same term products either way.
 Grouping and call parentheses nest at most :data:`MAX_NESTING` deep.
 """
 
@@ -65,6 +69,7 @@ from .core import (
     _COEFFS,
     _RATIONAL,
     _SYMBOL_CHAR,
+    _doubles,
     _sum,
     from_symbols,
     mul,
@@ -412,20 +417,27 @@ def _argument(node: tuple) -> tuple:
 
 def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
     """Elements times elements; ``rest`` holds (column of '*', run) per factor.  A
-    literal left factor never gets here: it is a chain's scale."""
+    literal left factor never gets here: it is a chain's scale.  Only the last '*' of a
+    chain run with ``env._whole`` on forms triples; the operands run with it off."""
 
     def run(env):
-        x = first(env)
-        for star, value_of in rest:
-            y = value_of(env)
-            # mul pairs singles with singles, doubles with singles, singles with doubles
-            n1 = len(x.singles)
-            pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)
-            if pairs > MAX_PRODUCT_TERMS:
-                raise EvalError(
-                    f"'*' would form {pairs} term products, more than {MAX_PRODUCT_TERMS}", star
-                )
-            x = mul(env.context, x, y)
+        whole, env._whole = env._whole, False
+        try:
+            x = first(env)
+            for star, value_of in rest:
+                y = value_of(env)
+                # mul would pair singles with singles, doubles with singles, singles with doubles
+                n1 = len(x.singles)
+                pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)
+                if pairs > MAX_PRODUCT_TERMS:
+                    raise EvalError(f"'*' would form {pairs} term products, more than "
+                                    f"{MAX_PRODUCT_TERMS}", star)
+                if whole and star == rest[-1][0]:
+                    x = mul(env.context, x, y)
+                else:
+                    x = AaaElement._trusted({}, _doubles(x, y), {})
+        finally:
+            env._whole = whole
         return x
 
     return run
@@ -462,6 +474,7 @@ class Env:
             raise TypeError(f"context must be an AlgebraContext, not {type(context).__name__}")
         self.context = context
         self.bindings: dict[str, AaaElement] = {}
+        self._whole = True  # off while an operand of '*' runs: its triples are not formed
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
@@ -559,6 +572,7 @@ def _call(fn: str, pos: int, args: tuple, kwargs: tuple) -> Callable:
             if problem is not None:
                 raise EvalError(problem, col)
             options[name] = value
+        whole, env._whole = env._whole, True  # a builtin reads its arguments whole
         try:
             if keywords is _SELECTOR:
                 options = access.KeySelector._trusted(**options)  # names the lexer matched
@@ -567,6 +581,8 @@ def _call(fn: str, pos: int, args: tuple, kwargs: tuple) -> Callable:
             raise
         except (AlgebraError, TypeError, ValueError) as exc:
             raise EvalError(str(exc), pos) from exc
+        finally:
+            env._whole = whole
 
     return run
 

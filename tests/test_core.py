@@ -330,6 +330,20 @@ class TestMultiplication:
     def test_distributivity_instance(self, x, x1, y):
         assert x * (x1 + y) == x * x1 + x * y
 
+    @pytest.mark.parametrize("k", [-1, Fraction(3, 2)], ids=["k=-1", "k=3/2"])
+    def test_an_operands_triples_never_reach_the_product(self, k):
+        # what lets a product that is only an operand of '*' skip its triples
+        ctx = AlgebraContext(k)
+        for seed in range(0, 200, 4):
+            a, b, c, d = (raaa(seed + i) for i in range(4))
+            product = mul(ctx, a, b)
+            a_c, b_d, a_0, b_0 = (
+                AaaElement(e.singles, e.doubles, f.triples)
+                for e, f in ((a, c), (b, d), (a, zero()), (b, zero()))
+            )
+            for u, v in [(a_c, b), (a, b_d), (a_c, b_d), (a_0, b), (a, b_0), (a_0, b_0)]:
+                assert mul(ctx, u, v) == product
+
 
 class TestImmutability:
     def test_operations_do_not_mutate_inputs(self, x, x1):

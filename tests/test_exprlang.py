@@ -1,3 +1,5 @@
+import io
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from antiassoc import (
     ScalarOperandError,
     UnboundVariableError,
     add,
+    mul,
     neg,
     parse,
     raaa,
@@ -24,7 +27,7 @@ from antiassoc import (
     sub,
     zero,
 )
-from antiassoc import access, exprlang
+from antiassoc import access, cli, exprlang
 from antiassoc.core import SYMBOL_RE, as_coeff
 from antiassoc.exprlang import parse_program, run_program, tokenize
 from antiassoc.rng import SplitMix64
@@ -206,6 +209,15 @@ _SELECTOR_TOKENS = [
 
 
 class TestTokenizeAgainstReference:
+    def test_every_short_string(self):
+        """Every string of up to 4 characters over 13 that cover the grammar: 30,941 strings."""
+        chars = "a(),;=*+-1/ s"
+        texts = ["".join(t) for n in range(5) for t in itertools.product(chars, repeat=n)]
+        assert len(texts) == 30941
+        assert [_lex_outcome(tokenize, t) for t in texts] == [
+            _lex_outcome(_reference_lexed, t) for t in texts
+        ]
+
     @settings(max_examples=300)
     @given(_mutated_statement())
     def test_same_tokens_or_same_error_as_the_character_walker(self, src):
@@ -419,6 +431,71 @@ class TestEval:
             with pytest.raises(EvalError) as err:
                 eval_one(src)
             assert (err.value.message, err.value.pos) == ("raaa() seed must be an integer", pos)
+
+
+# Elements with Fraction coefficients in every degree; 3/2 times 2/3 makes integral Fractions.
+_OPERANDS = {
+    "x": "+3/2p -2q +1/3p.q -3(q.r)p +1/2(p.p)q",
+    "y": "+2/3q +4r -3/2p.r +5(p.q)r",
+    "z": "-1/2p +3/4r +2q.q -7/3(r.r)r",
+    "w": "+6p -1/6q +2/5r.p +1(p.p)p",
+    "a": "+2/3p +3r -1/2q.r",
+    "b": "+3/2q -2/3p.p +1(q.q)q",
+}
+
+# Each statement, and its value as nested core calls: m(u, v) is mul under the statement's K.
+_NESTED = {
+    "x*(y*z)": lambda m, e: m(e["x"], m(e["y"], e["z"])),
+    "(x*y)*z": lambda m, e: m(m(e["x"], e["y"]), e["z"]),
+    "x*y*z*w": lambda m, e: m(m(m(e["x"], e["y"]), e["z"]), e["w"]),
+    "(a + a*x)*(b + x*b)":
+        lambda m, e: m(add(e["a"], m(e["a"], e["x"])), add(e["b"], m(e["x"], e["b"]))),
+    "-(y*z)*x": lambda m, e: m(neg(m(e["y"], e["z"])), e["x"]),
+    "2*(y*z)*x": lambda m, e: m(scalar_mul(2, m(e["y"], e["z"])), e["x"]),
+    "x*triple(y*z)": lambda m, e: m(e["x"], access.triple(m(e["y"], e["z"]))),
+}
+
+
+class TestOperandProducts:
+    """A product read only as an operand of '*' forms its doubles alone: the same values,
+    errors and columns as the full product."""
+
+    @pytest.mark.parametrize("k", [-1, Fraction(2, 3)], ids=["k=-1", "k=2/3"])
+    @pytest.mark.parametrize("src", _NESTED)
+    def test_value_is_the_nested_core_calls(self, k, src):
+        env = Env(context=AlgebraContext(k))
+        env.bindings.update({name: parse(text) for name, text in _OPERANDS.items()})
+        got = eval_one(src, env)
+        want = _NESTED[src](lambda u, v: mul(env.context, u, v), env.bindings)
+        assert serialize(got) == serialize(want)
+        _assert_clean(got)
+
+    def test_a_call_reads_its_arguments_whole(self, capsys):
+        # a*(b + c*d) has triples, which set_double refuses; an operand's run would drop them
+        src = "sym a b c d; let v = a; d*set_double(v, a*(b + c*d))"
+        assert (cli.main(["eval", src]), *capsys.readouterr()) == (
+            2, "", "line 1: col 27: replacement for doubles contains terms of another degree\n"
+        )
+
+    @pytest.mark.parametrize(
+        "src, pos",
+        [("a*(s*s*s)", 7), ("(s*s*s)*a", 5), ("a*(a + s*(s*s))", 9), ("-(s*(s*s))*a", 4)],
+    )
+    def test_an_operand_over_the_cap_is_refused_at_its_star(self, monkeypatch, src, pos):
+        monkeypatch.setattr(exprlang, "MAX_PRODUCT_TERMS", 4)
+        env = Env()
+        run_program("sym a b; let s = a + b", env)
+        with pytest.raises(EvalError) as err:
+            run_program(src, env)
+        assert (err.value.message, err.value.pos) == (
+            "'*' would form 8 term products, more than 4", pos
+        )
+
+    def test_an_error_in_an_operand_leaves_the_session_whole(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("sym a b c\na*(b*q)\na*(b*c)\n"))
+        assert (cli.main(["repl"]), *capsys.readouterr()) == (
+            0, "-1(a.b)c\n", "line 2: col 6: unbound variable 'q'\n"
+        )
 
 
 @st.composite
