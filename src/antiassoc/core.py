@@ -452,11 +452,14 @@ def mul(ctx: AlgebraContext, a: AaaElement, b: AaaElement) -> AaaElement:
     k = ctx.k
     operands = a.singles.values(), a.doubles.values(), b.singles.values(), b.doubles.values()
     walk = type(k) is not int or not {int}.issuperset(map(type, chain(*operands)))
-    # Keys within each of the first two blocks are distinct, so those
-    # blocks assign; only the K block can meet keys already present.
+    # Keys within each block are distinct, so the first two blocks assign; only the K
+    # block can meet keys already present, and when block 1 is empty it is one comprehension.
     doubles = _doubles(a, b, walk)
     triples = {ij + x: ca * cb for ij, ca in a.doubles.items() for x, cb in b.singles.items()}
-    if k:
+    if k and not triples:  # a nonzero times a nonzero is never zero
+        triples = {i + jl: kca * cb for i, ca in a.singles.items() for kca in (k * ca,)
+                   for jl, cb in b.doubles.items()}
+    elif k:
         for i, ca in a.singles.items():
             kca = k * ca
             for jl, cb in b.doubles.items():

@@ -49,7 +49,10 @@ then a selector's columns.
 A product read only as an operand of ``*`` forms its doubles alone, as its
 triples would never reach the result: every ``*`` of a chain but the last, and
 the products in an operand's group or sum.  A builtin reads its arguments
-whole, and the cap counts the same term products either way.
+whole, and the cap counts the same term products either way.  A chain that is
+one product with an ``int`` scale other than 0 and 1, as in ``-(x*y)`` or
+``2*(x*y)``, runs as that product with the scale on its first factor's singles
+and doubles, all that ``mul`` reads of it.  Any other scale scales a finished value.
 Grouping and call parentheses nest at most :data:`MAX_NESTING` deep.
 """
 
@@ -403,8 +406,11 @@ def _items(node: tuple, scale, message: str = _NOT_ELEMENT) -> list:
 def _element(node: tuple, message: str = _NOT_ELEMENT) -> Callable:
     """``run(env)`` giving the element ``node`` stands for; a number's raises."""
     items = _items(node, 1, message)
-    if len(items) == 1 and items[0][0] == 1:
-        return items[0][1]
+    scale, run = items[0]
+    if len(items) == 1 and scale == 1:
+        return run
+    if len(items) == 1 and type(scale) is int and scale and hasattr(run, "factors"):
+        return _product(*run.factors, scale)  # one product with an int scale: fold it in
     # operands run left to right, then ``core._sum`` merges them
     return lambda env: _sum([(scale, run(env)) for scale, run in items])
 
@@ -415,15 +421,18 @@ def _argument(node: tuple) -> tuple:
     return node[0], (lambda env: node[1]) if type(node) is _Number else run, run
 
 
-def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
-    """Elements times elements; ``rest`` holds (column of '*', run) per factor.  A
-    literal left factor never gets here: it is a chain's scale.  Only the last '*' of a
-    chain run with ``env._whole`` on forms triples; the operands run with it off."""
+def _product(first: Callable, rest: list[tuple[int, Callable]], scale: int = 1) -> Callable:
+    """Elements times elements; ``rest`` holds (column of '*', run) per factor.  A literal
+    left factor is a chain's scale, and ``_element`` folds an ``int`` one into ``scale``: it
+    multiplies the first factor's singles and doubles, all that ``mul`` reads of it.  Only the
+    last '*' of a chain run with ``env._whole`` on forms triples; the operands run with it off."""
 
     def run(env):
         whole, env._whole = env._whole, False
         try:
             x = first(env)
+            if scale != 1:  # (c*x)*y is c*(x*y), and no product reads x's triples
+                x = _sum(((scale, AaaElement._trusted(x.singles, x.doubles, {})),))
             for star, value_of in rest:
                 y = value_of(env)
                 # mul would pair singles with singles, doubles with singles, singles with doubles
@@ -440,6 +449,8 @@ def _product(first: Callable, rest: list[tuple[int, Callable]]) -> Callable:
             env._whole = whole
         return x
 
+    if scale == 1:  # for _element; the factors, not the run, so that nothing points back at it
+        run.factors = first, rest
     return run
 
 

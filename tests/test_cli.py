@@ -56,6 +56,10 @@ _REPLIES = {
                                      "line 1: col 10: single() takes 1 positional argument(s), got 2\n"),
     "unprintable-result": (["eval", f"sym a; let x = {'9' * 2000}*a; a", "x*(x*x)", "a"], "", 2,
                            "+1a\n", f"line 2: {_UNPRINTABLE}\n"),
+    "scaled-nested-product": (["eval", "sym a b c; -(a*(b*c))"], "", 0, "+1(a.b)c\n", ""),
+    "scaled-product": (["eval", "sym a b; 2*(a*b)"], "", 0, "+2a.b\n", ""),
+    "zero-scaled-product": (["eval", "sym a b; 0*(a*b)"], "", 0, "0\n", ""),
+    "fraction-scaled-product": (["eval", "sym a b; 3/2*(a*b)"], "", 0, "+3/2a.b\n", ""),
     "terms-cancel": (["parse"], "-1a.b +1a.b\n", 0, "0\n", ""),
     "lowest-terms-on-each-line": (["parse"], "+3/6a +4/2b\n" * 2, 0, "+1/2a +2b\n" * 2, ""),
 }
@@ -601,6 +605,9 @@ def _statements(count):
 
 _ERROR_LINES = "oops\nsym a; a*2/0\n1 2\nraaa(n1=3/2)\n2*3\n" + "(" * 200 + "a" + ")" * 200 + "\n"
 
+# Lines whose products run with their scale folded into the first factor
+_SCALED_PRODUCTS = "let w = -(raaa(1)*raaa(n2=2)); 2*(w*w); -(w*(w*w)); -(w*w)*w\n"
+
 
 class TestCollector:
     """``main`` runs each command with the cyclic collector off and restores it."""
@@ -609,11 +616,12 @@ class TestCollector:
         "command",
         [
             lambda n: (["eval", "--seed", "3"], _statements(n) + "sym a; a*(a*2\n"),
+            lambda n: (["eval", "--seed", "3"], _SCALED_PRODUCTS * n),
             lambda n: (["repl", "--seed", "3"], _statements(n) + _ERROR_LINES * n + ":k 2\n"),
             lambda n: (["parse"], "+2a +1b.c\n+1c -1/2(a.b)c +3a\n0\n" * n + "+1a +\n"),
             lambda n: (["check", "--seed", "7", "--trials", str(n)], ""),
         ],
-        ids=["eval", "repl", "parse", "check"],
+        ids=["eval", "eval-scaled-products", "repl", "parse", "check"],
     )
     def test_no_reference_cycles_grow_with_the_input(self, monkeypatch, capsys, command):
         _cyclic_garbage(monkeypatch, capsys, *command(1))  # imports made on first use

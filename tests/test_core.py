@@ -27,7 +27,9 @@ from antiassoc import (
     sub,
     zero,
 )
+from antiassoc._oracle import naive_mul
 from conftest import PRODUCT_TEXT, X1_TEXT, X_PLUS_X1_TEXT, X_TEXT, Y_TEXT, Z_TEXT
+from test_laws import _assert_clean
 
 
 def gens(*names):
@@ -343,6 +345,27 @@ class TestMultiplication:
             )
             for u, v in [(a_c, b), (a, b_d), (a_c, b_d), (a_0, b), (a, b_0), (a_0, b_0)]:
                 assert mul(ctx, u, v) == product
+
+    @pytest.mark.parametrize(
+        "k", [-1, 0, Fraction(2, 3), Fraction(3, 2)], ids=["k=-1", "k=0", "k=2/3", "k=3/2"]
+    )
+    def test_a_k_block_that_meets_no_other_key_is_the_oracles(self, k):
+        # a.doubles times b.singles is empty, so mul builds the K block in one comprehension
+        for seed in range(0, 120, 2):
+            a, b = raaa(seed), raaa(seed + 1)
+            no_doubles = AaaElement(a.singles, {}, a.triples)
+            no_singles = AaaElement({}, b.doubles, b.triples)
+            for u, v in [
+                (no_doubles, b),
+                (a, no_singles),
+                (no_doubles, no_singles),
+                # Fraction coefficients whose products with each other or with K are integral
+                (scalar_mul(Fraction(3, 2), no_doubles), scalar_mul(Fraction(2, 3), b)),
+                (scalar_mul(Fraction(2, 3), a), scalar_mul(Fraction(3, 2), no_singles)),
+            ]:
+                product = mul(AlgebraContext(k), u, v)
+                assert product == naive_mul(k, u, v)
+                _assert_clean(product)  # no coefficient 0, and no integral Fraction
 
 
 class TestImmutability:

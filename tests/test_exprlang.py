@@ -498,6 +498,53 @@ class TestOperandProducts:
         )
 
 
+# Each statement with a scaled product, and its value as nested core calls, as in _NESTED.
+_SCALED = {
+    "-(x*y)": lambda m, e: neg(m(e["x"], e["y"])),
+    "2*(x*y)": lambda m, e: scalar_mul(2, m(e["x"], e["y"])),
+    "-2*(x*(y*z))": lambda m, e: scalar_mul(-2, m(e["x"], m(e["y"], e["z"]))),
+    "-(x*y)*z": lambda m, e: m(neg(m(e["x"], e["y"])), e["z"]),
+    "-((x*y)*z)": lambda m, e: neg(m(m(e["x"], e["y"]), e["z"])),
+    "3/2*(x*y)": lambda m, e: scalar_mul(Fraction(3, 2), m(e["x"], e["y"])),
+    "0*(x*y)": lambda m, e: scalar_mul(0, m(e["x"], e["y"])),
+    "-(x*y*z*w)": lambda m, e: neg(m(m(m(e["x"], e["y"]), e["z"]), e["w"])),
+}
+
+
+class TestScaledProducts:
+    """A product that is a whole chain with an ``int`` scale other than 0 and 1 runs with
+    the scale on its first factor: the same values, errors and columns as scaling the
+    finished product."""
+
+    @pytest.mark.parametrize("k", [-1, Fraction(2, 3)], ids=["k=-1", "k=2/3"])
+    @pytest.mark.parametrize("src", _SCALED)
+    def test_value_is_the_nested_core_calls(self, k, src):
+        env = Env(context=AlgebraContext(k))
+        env.bindings.update({name: parse(text) for name, text in _OPERANDS.items()})
+        got = eval_one(src, env)
+        want = _SCALED[src](lambda u, v: mul(env.context, u, v), env.bindings)
+        assert serialize(got) == serialize(want)
+        _assert_clean(got)
+
+    def test_a_zero_scale_still_counts_the_unscaled_operand(self, monkeypatch):
+        monkeypatch.setattr(exprlang, "MAX_PRODUCT_TERMS", 4)
+        env = Env()
+        run_program("sym a b; let s = a + b", env)
+        with pytest.raises(EvalError) as err:
+            run_program("0*(s*s*s)", env)
+        assert (err.value.message, err.value.pos) == (
+            "'*' would form 8 term products, more than 4", 7
+        )
+
+    @pytest.mark.parametrize(
+        "src, pos", [("-(a*q)", 14), ("2*(q*a)", 13), ("-(a*b)*q", 17)]
+    )
+    def test_an_unbound_factor_is_reported_at_its_column(self, src, pos):
+        with pytest.raises(UnboundVariableError) as err:
+            run_program(f"sym a b; {src}", Env())
+        assert (err.value.message, err.value.pos) == ("unbound variable 'q'", pos)
+
+
 @st.composite
 def _signed_operands(draw):
     """2 to 100 (is '+', element) pairs over a few elements u, c*u and (1-c)*u.
