@@ -283,8 +283,10 @@ class AlgebraContext(_Value):
     __slots__ = ("k",)
     k: Coefficient
 
-    def __init__(self, k: object = -1) -> None:
-        object.__setattr__(self, "k", as_coeff(k))
+    def __new__(cls, k: object = -1) -> AlgebraContext:
+        context = object.__new__(cls)
+        object.__setattr__(context, "k", as_coeff(k))
+        return context
 
 
 DEFAULT_CONTEXT = AlgebraContext()

@@ -193,7 +193,9 @@ def _lex(src: str, start: int, end: int) -> list[tuple]:
 # its chain's items.  A number that stands where an element must compiles to a
 # run that raises that place's ScalarOperandError, so the error comes in its
 # turn.  Closures look up ``_sum``, ``mul``, ``access`` etc. as module globals
-# when they run.
+# when they run.  An element run is ``run(env, whole=True)``; a product run with
+# ``whole`` False forms no triples.  A product runs its factors with False, a sum
+# passes ``whole`` on, and the rest ignore it; statements and builtins call ``run(env)``.
 
 class _Number(tuple):
     __slots__ = ()
@@ -283,7 +285,7 @@ class _Parser:
                         args, i = self.nested(i, self.call_args)
                         run = _call(text, pos, *args)
                     else:
-                        def run(env, name=text, col=pos):  # defaults: this name, not the last
+                        def run(env, whole=True, name=text, col=pos):  # this name, not the last
                             try:
                                 return env.bindings[name]
                             except KeyError:
@@ -392,7 +394,7 @@ _LEFT_FACTOR = "a number may only appear as the left factor of '*'"
 def _items(node: tuple, scale, message: str = _NOT_ELEMENT) -> list:
     """``scale`` times ``node`` as items; a number's run raises ``message``."""
     if type(node) is _Number:
-        def misplaced(env):
+        def misplaced(env, whole=True):
             raise ScalarOperandError(message, node[0])
 
         return [(scale, misplaced)]
@@ -404,7 +406,7 @@ def _items(node: tuple, scale, message: str = _NOT_ELEMENT) -> list:
 
 
 def _element(node: tuple, message: str = _NOT_ELEMENT) -> Callable:
-    """``run(env)`` giving the element ``node`` stands for; a number's raises."""
+    """``run(env, whole=True)`` giving the element ``node`` stands for; a number's raises."""
     items = _items(node, 1, message)
     scale, run = items[0]
     if len(items) == 1 and scale == 1:
@@ -412,7 +414,7 @@ def _element(node: tuple, message: str = _NOT_ELEMENT) -> Callable:
     if len(items) == 1 and type(scale) is int and scale and hasattr(run, "factors"):
         return _product(*run.factors, scale)  # one product with an int scale: fold it in
     # operands run left to right, then ``core._sum`` merges them
-    return lambda env: _sum([(scale, run(env)) for scale, run in items])
+    return lambda env, whole=True: _sum([(scale, run(env, whole)) for scale, run in items])
 
 
 def _argument(node: tuple) -> tuple:
@@ -424,29 +426,25 @@ def _argument(node: tuple) -> tuple:
 def _product(first: Callable, rest: list[tuple[int, Callable]], scale: int = 1) -> Callable:
     """Elements times elements; ``rest`` holds (column of '*', run) per factor.  A literal
     left factor is a chain's scale, and ``_element`` folds an ``int`` one into ``scale``: it
-    multiplies the first factor's singles and doubles, all that ``mul`` reads of it.  Only the
-    last '*' of a chain run with ``env._whole`` on forms triples; the operands run with it off."""
+    multiplies the first factor's singles and doubles, all that ``mul`` reads of it.  The
+    factors run with ``whole`` False, and only the last '*' of a ``whole`` run forms triples."""
 
-    def run(env):
-        whole, env._whole = env._whole, False
-        try:
-            x = first(env)
-            if scale != 1:  # (c*x)*y is c*(x*y), and no product reads x's triples
-                x = _sum(((scale, AaaElement._trusted(x.singles, x.doubles, {})),))
-            for star, value_of in rest:
-                y = value_of(env)
-                # mul would pair singles with singles, doubles with singles, singles with doubles
-                n1 = len(x.singles)
-                pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)
-                if pairs > MAX_PRODUCT_TERMS:
-                    raise EvalError(f"'*' would form {pairs} term products, more than "
-                                    f"{MAX_PRODUCT_TERMS}", star)
-                if whole and star == rest[-1][0]:
-                    x = mul(env.context, x, y)
-                else:
-                    x = AaaElement._trusted({}, _doubles(x, y), {})
-        finally:
-            env._whole = whole
+    def run(env, whole=True):
+        x = first(env, False)
+        if scale != 1:  # (c*x)*y is c*(x*y), and no product reads x's triples
+            x = _sum(((scale, AaaElement._trusted(x.singles, x.doubles, {})),))
+        for star, value_of in rest:
+            y = value_of(env, False)
+            # mul would pair singles with singles, doubles with singles, singles with doubles
+            n1 = len(x.singles)
+            pairs = (n1 + len(x.doubles)) * len(y.singles) + n1 * len(y.doubles)
+            if pairs > MAX_PRODUCT_TERMS:
+                raise EvalError(f"'*' would form {pairs} term products, more than "
+                                f"{MAX_PRODUCT_TERMS}", star)
+            if whole and star == rest[-1][0]:
+                x = mul(env.context, x, y)
+            else:
+                x = AaaElement._trusted({}, _doubles(x, y), {})
         return x
 
     if scale == 1:  # for _element; the factors, not the run, so that nothing points back at it
@@ -485,7 +483,6 @@ class Env:
             raise TypeError(f"context must be an AlgebraContext, not {type(context).__name__}")
         self.context = context
         self.bindings: dict[str, AaaElement] = {}
-        self._whole = True  # off while an operand of '*' runs: its triples are not formed
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
@@ -564,7 +561,7 @@ def _call(fn: str, pos: int, args: tuple, kwargs: tuple) -> Callable:
     keyword, its value a number or a tuple of symbol names.  The builtin runs its own
     arguments; every error is a run-time error, and a refused call runs none of them."""
 
-    def run(env: Env) -> AaaElement:
+    def run(env: Env, whole: bool = True) -> AaaElement:  # a builtin reads its arguments whole
         row = _BUILTINS.get(fn)
         if row is None:
             raise EvalError(f"unknown function '{fn}'", pos)
@@ -583,7 +580,6 @@ def _call(fn: str, pos: int, args: tuple, kwargs: tuple) -> Callable:
             if problem is not None:
                 raise EvalError(problem, col)
             options[name] = value
-        whole, env._whole = env._whole, True  # a builtin reads its arguments whole
         try:
             if keywords is _SELECTOR:
                 options = access.KeySelector._trusted(**options)  # names the lexer matched
@@ -592,8 +588,6 @@ def _call(fn: str, pos: int, args: tuple, kwargs: tuple) -> Callable:
             raise
         except (AlgebraError, TypeError, ValueError) as exc:
             raise EvalError(str(exc), pos) from exc
-        finally:
-            env._whole = whole
 
     return run
 

@@ -405,6 +405,14 @@ class TestValueSemantics:
             delattr(value, field)
 
     @pytest.mark.parametrize("make", VALUES)
+    def test_init_called_again_changes_nothing(self, make):
+        # DEFAULT_CONTEXT.__init__(7) must not change K for every later '*'
+        other = {AaaElement: ({("z",): 7}, {}, {}), AlgebraContext: (7,), KeySelector: (["z"],)}
+        value = make()
+        value.__init__(*other[type(value)])
+        assert value == make() and hash(value) == hash(make())
+
+    @pytest.mark.parametrize("make", VALUES)
     def test_deepcopy_and_pickle_give_equal_values(self, make):
         value = make()
         assert copy.deepcopy(value) == value

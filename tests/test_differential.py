@@ -459,16 +459,21 @@ _BINDINGS = st.fixed_dictionaries({"a": mixed_elements, "b": mixed_elements, "c"
 
 
 def _check(rendered, bindings: dict, seed: int) -> None:
-    """Run the rendered program and the model side by side: the same values, or
-    the same error, and the same seeds drawn."""
+    """Run the rendered program and the model side by side, from ``bindings`` and
+    ``seed``."""
+    env = Env(seed=seed)
+    env.bindings.update(bindings)
+    _compare(rendered, env, _Model(bindings, seed))
+
+
+def _compare(rendered, env: Env, model: _Model) -> None:
+    """Run the rendered program in ``env`` and the model on from where each stands: the
+    same values, or the same error, the same seeds drawn and the same bindings left."""
     src, statements = rendered
-    model = _Model(bindings, seed)
     try:
         expected = [model.statement(s) for s in statements]
     except _Expected as exc:
         expected = exc.error
-    env = Env(seed=seed)
-    env.bindings.update(bindings)
     try:
         results = run_program(src, env)
     except ExprError as exc:
@@ -483,6 +488,7 @@ def _check(rendered, bindings: dict, seed: int) -> None:
                 _assert_clean(result)
     # every raaa() that ran took the session's next seed, in order
     assert env.next_seed() == model.stream.next_u64(), src
+    assert env.bindings == model.bindings, src
 
 
 def _num(text: str):
@@ -501,6 +507,18 @@ class TestExpressionsAgainstCore:
     @given(_rendered(), _BINDINGS, st.integers(0, 2**64 - 1))
     def test_value_or_error_matches_the_core_calls(self, rendered, bindings, seed):
         _check(rendered, bindings, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rendered(), _rendered(), _BINDINGS, st.integers(0, 2**64 - 1))
+    def test_a_second_program_continues_from_where_the_first_stopped(
+        self, first, second, bindings, seed
+    ):
+        # the first may raise anywhere, deep in an operand too: no evaluation state survives
+        env = Env(seed=seed)
+        env.bindings.update(bindings)
+        model = _Model(bindings, seed)
+        _compare(first, env, model)
+        _compare(second, env, model)
 
     @pytest.mark.parametrize(
         "program",

@@ -470,6 +470,26 @@ class TestOperandProducts:
         assert serialize(got) == serialize(want)
         _assert_clean(got)
 
+    @pytest.mark.parametrize(
+        "src, calls",
+        [("x*(y*z)", (1, 1)), ("(x*y)*z", (1, 1)), ("x*y*z*w", (1, 2)),
+         ("(x + x*z)*(y + z*y)", (1, 2)), ("-((x*y)*z)", (1, 1)), ("2*(x*y)", (1, 0)),
+         ("x*triple(y*z)", (2, 0)), ("x*y + y*x", (2, 0))],
+    )
+    def test_only_the_last_star_of_a_whole_product_calls_mul(self, monkeypatch, src, calls):
+        # the values are the same either way, so count (mul, _doubles) calls per statement
+        counts = {"mul": 0, "_doubles": 0}
+        for name in counts:
+            def counted(*args, name=name, real=getattr(exprlang, name)):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(exprlang, name, counted)
+        env = Env()
+        run_program("sym x y z w", env)
+        run_program(src, env)
+        assert (counts["mul"], counts["_doubles"]) == calls
+
     def test_a_call_reads_its_arguments_whole(self, capsys):
         # a*(b + c*d) has triples, which set_double refuses; an operand's run would drop them
         src = "sym a b c d; let v = a; d*set_double(v, a*(b + c*d))"
